@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +42,7 @@ from .rank_core import (
     pair_stats,
     spearman_rho,
 )
-from .simulate import EXPERIMENTS, _midranks, default_config, run_simulation
+from .simulate import EXPERIMENTS, _classical_spearman, default_config, run_simulation
 from .simulate import render_text as _render_simulation
 
 __all__ = ["build_parser", "main", "entry"]
@@ -56,15 +57,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(f"{self.prog}: error: {message}")
-
-
-def _classical_spearman(x, y) -> float:
-    """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
-    rx = _midranks(np.asarray(x, dtype=float))
-    ry = _midranks(np.asarray(y, dtype=float))
-    if rx.std() == 0.0 or ry.std() == 0.0:
-        raise DegenerateError("constant column has no rank correlation")
-    return float(np.corrcoef(rx, ry)[0, 1])
 
 
 def _pearson(x, y) -> float:
@@ -154,14 +146,6 @@ def _cmd_correlate(args) -> None:
 # --------------------------------------------------------------------------
 # test
 
-def _maybe(call):
-    """Run a test variant; None when its null is out of range for this n."""
-    try:
-        return call()
-    except NumericError:
-        return None
-
-
 def _render_test(payload: dict) -> str:
     def fmt(p):
         return "n/a" if p is None else f"{p:.6g}"
@@ -186,22 +170,25 @@ def _render_test(payload: dict) -> str:
 
 def _cmd_test(args) -> None:
     x, y, x_name, y_name = _load_xy(args)
-    if args.method == "kemeny":
-        result = z_kemeny(x, y, scale=args.scale, null=args.null)
-        estimate = kemeny_tau(x, y)
-        exact = _maybe(lambda: z_kemeny(x, y, scale=args.scale, null="exact"))
-        normal = z_kemeny(x, y, scale=args.scale, null="normal")
-    elif args.method == "kendall-b":
-        result = z_kendall_b(x, y)
+    cc = pair_stats(x, y)
+    if args.method == "kendall-b":
+        result = normal = z_kendall_b(x, y)
         estimate = kendall_tau_b(x, y)
         exact = None
-        normal = result
     else:
-        result = z_spearman(x, y, as_ratio=args.ratio, null=args.null)
-        estimate = spearman_rho(x, y)
-        exact = _maybe(lambda: z_spearman(x, y, as_ratio=args.ratio, null="exact"))
-        normal = z_spearman(x, y, as_ratio=args.ratio, null="normal")
-    cc = pair_stats(x, y)
+        if args.method == "kemeny":
+            run = functools.partial(z_kemeny, x, y, scale=args.scale)
+            estimate = cc.net_concordance / cc.pair_count
+        else:
+            run = functools.partial(z_spearman, x, y, as_ratio=args.ratio)
+            estimate = spearman_rho(x, y)
+        result = run(null=args.null)
+        # "auto" picks the exact null wherever one is defined and affordable
+        # (kemeny: 3 <= n <= null_models.EXACT_LIMIT), so it alone decides the
+        # exact column; past the limit only --null exact builds a lattice
+        best = run(null="auto") if args.null == "normal" else result
+        exact = best if best.null != "normal" else None
+        normal = result if result.null == "normal" else run(null="normal")
     payload = {
         "columns": [x_name, y_name],
         "n": cc.n,

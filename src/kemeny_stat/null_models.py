@@ -48,7 +48,12 @@ __all__ = [
     "z_kemeny",
     "z_kendall_b",
     "z_spearman",
+    "EXACT_LIMIT",
 ]
+
+#: Largest n at which the kemeny z test reads its p-value from the lattice
+#: null by default; past it the table grows as n^2 and the normal null is used.
+EXACT_LIMIT: int = 350
 
 
 def population_variance(n: int) -> Fraction:
@@ -437,7 +442,7 @@ def z_kemeny(
     *,
     scale: str = "population",
     null: str = "auto",
-    exact_limit: int = 350,
+    exact_limit: int = EXACT_LIMIT,
 ) -> TestResult:
     """Test for order independence via the concordance count S = C - D.
 
@@ -485,6 +490,30 @@ def z_kemeny(
     )
 
 
+def _kendall_b_variance(
+    x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
+) -> float:
+    """Tie-adjusted null variance of C - D, from the tie blocks of x and y."""
+    x, y = as_score_vector(x), as_score_vector(y)
+
+    def block_sums(v):
+        # exact Python ints (t^3 wraps int64 once a block passes ~1.66e6),
+        # one term per distinct block size: at most sqrt(2n) of them
+        mult = np.bincount(tie_block_sizes(v))
+        t = np.flatnonzero(mult).astype(object)
+        c = mult[mult > 0].astype(object)
+        pairs = c * t * (t - 1)
+        return int(pairs.sum()), int((pairs * (t - 2)).sum()), int((pairs * (2 * t + 5)).sum())
+
+    tx2, tx3, vt = block_sums(x)
+    ty2, ty3, vu = block_sums(y)
+    n = x.n
+    v0 = n * (n - 1) * (2 * n + 5)
+    v1 = tx2 * ty2 / (2.0 * n * (n - 1))
+    v2 = tx3 * ty3 / (9.0 * n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    return (v0 - vt - vu) / 18.0 + v1 + v2
+
+
 def z_kendall_b(
     x: ScoreVector | Iterable[float],
     y: ScoreVector | Iterable[float],
@@ -497,18 +526,7 @@ def z_kendall_b(
     counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
-    tx = tie_block_sizes(x)
-    ty = tie_block_sizes(y)
-    v0 = n * (n - 1) * (2 * n + 5)
-    vt = int(np.sum(tx * (tx - 1) * (2 * tx + 5)))
-    vu = int(np.sum(ty * (ty - 1) * (2 * ty + 5)))
-    tx2 = int(np.sum(tx * (tx - 1)))
-    ty2 = int(np.sum(ty * (ty - 1)))
-    tx3 = int(np.sum(tx * (tx - 1) * (tx - 2)))
-    ty3 = int(np.sum(ty * (ty - 1) * (ty - 2)))
-    v1 = tx2 * ty2 / (2.0 * n * (n - 1))
-    v2 = tx3 * ty3 / (9.0 * n * (n - 1) * (n - 2)) if n > 2 else 0.0
-    variance = (v0 - vt - vu) / 18.0 + v1 + v2
+    variance = _kendall_b_variance(x, y)
     if variance <= 0:
         raise DegenerateError("tie structure leaves no variance for the concordance count")
     z = s / math.sqrt(variance)

@@ -23,9 +23,11 @@ all-tied vectors sit at distance m, not 0.  The exact variant d* repairs that
 (it is a true metric) and the two are linked by d = d* + T_xy.
 
 Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
-rejected at construction.  Pair classification has an O(n^2) sign-matrix
-reference implementation and an O(n log n) lexsort + merge-count path; the two
-must agree exactly and are differentially tested.
+rejected at construction.  Each vector is ranked once into dense codes and
+tie-block sizes; pair classification reads tie totals from block sizes and
+counts discordances as strict inversions of the y codes, one stable argsort
+per bit of the codes.  An O(n^2) sign-matrix reference implementation must
+agree with it exactly and the two are differentially tested.
 """
 
 from __future__ import annotations
@@ -217,64 +219,61 @@ def _pair_stats_quadratic(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
     return ConcordanceCounts(int(n), conc, disc, tied_x, tied_y, tied_both)
 
 
-def _tied_pair_sum(sorted_vals: np.ndarray) -> int:
-    """Sum of t(t-1)/2 over the tie blocks of an already sorted array."""
-    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    sizes = np.diff(np.concatenate(([0], boundaries + 1, [sorted_vals.size])))
+def _dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes 0..k-1 of v (in value order) and its k tie-block sizes.
+
+    The one place values are ranked: every tie count, concordance count and
+    rank image in this module is read from these two arrays.
+    """
+    _, codes, sizes = np.unique(v, return_inverse=True, return_counts=True)
+    return codes.astype(np.int64, copy=False), sizes.astype(np.int64, copy=False)
+
+
+def _tied_pairs(sizes: np.ndarray) -> int:
+    """Sum of t(t-1)/2 over tie-block sizes t."""
     return int((sizes * (sizes - 1) // 2).sum())
 
 
-def _count_strict_inversions(a: np.ndarray) -> int:
-    """Pairs (i < j) with a[i] > a[j], by bottom-up merge passes.
+def _strict_inversions(codes: np.ndarray, k: int) -> int:
+    """Pairs (i < j) with codes[i] > codes[j], for integer codes in [0, k).
 
-    Each pass merges adjacent sorted runs; for every right-run element the
-    number of strictly greater left-run elements falls out of a searchsorted.
-    Equal values are never counted, which is exactly the tie handling the
-    discordance count needs.
+    Two unequal codes first differ at one bit b.  Grouping the elements by
+    their bits above b (stable, so positions keep their order), every 1 at
+    bit b that precedes a 0 in its group is an inversion decided at b; equal
+    codes never differ, so they are never counted.  One stable argsort per
+    bit: O(n log n log k).
     """
-    a = np.asarray(a, dtype=float).copy()
-    n = a.size
-    inversions = 0
-    width = 1
-    while width < n:
-        for start in range(0, n, 2 * width):
-            mid = start + width
-            end = min(start + 2 * width, n)
-            if mid >= end:
-                continue
-            left = a[start:mid]
-            right = a[mid:end]
-            inversions += int(
-                (left.size - np.searchsorted(left, right, side="right")).sum()
-            )
-            a[start:end] = np.sort(a[start:end], kind="stable")
-        width *= 2
-    return inversions
+    total = 0
+    for b in range(int(k - 1).bit_length()):
+        order = np.argsort(codes >> (b + 1), kind="stable")
+        c = codes[order]
+        group = c >> (b + 1)
+        bit = (c >> b) & 1
+        ones_before = np.cumsum(bit) - bit
+        ones_before -= ones_before[np.searchsorted(group, group)]
+        total += int(ones_before[bit == 0].sum())
+    return total
 
 
 def _pair_stats_merge(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
-    """O(n log n) path: lexsort by (x, y), then merge-count discordances.
+    """O(n log n log k) path: dense codes, block sizes, a bit-wise inversion count.
 
-    After sorting by x with y as tiebreaker, a discordant pair is precisely a
-    strict inversion in the y sequence (within an x tie block y is ascending,
-    so such pairs can never be counted).  Tie-pair totals come from run
-    lengths; concordant pairs are whatever remains of m.
+    Tie-pair totals come from the block sizes of the x codes, the y codes and
+    the joint codes cx * ky + cy.  After sorting by the joint code (x, then y),
+    a discordant pair is precisely a strict inversion in the y codes (within
+    an x tie block they ascend, so such pairs are never counted).  Concordant
+    pairs are whatever remains of m.
     """
     n = xv.size
     m = n * (n - 1) // 2
-    order = np.lexsort((yv, xv))
-    xs, ys = xv[order], yv[order]
-
-    tied_pairs_x = _tied_pair_sum(xs)
-    joint_change = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    boundaries = np.flatnonzero(joint_change)
-    sizes = np.diff(np.concatenate(([0], boundaries + 1, [n])))
-    tied_pairs_both = int((sizes * (sizes - 1) // 2).sum())
-    tied_pairs_y = _tied_pair_sum(np.sort(yv, kind="stable"))
-
-    discordant = _count_strict_inversions(ys)
-    tied_x = tied_pairs_x - tied_pairs_both
-    tied_y = tied_pairs_y - tied_pairs_both
+    cx, sx = _dense(xv)
+    cy, sy = _dense(yv)
+    ky = sy.size
+    joint = cx * ky + cy
+    tied_pairs_both = _tied_pairs(_dense(joint)[1])
+    tied_x = _tied_pairs(sx) - tied_pairs_both
+    tied_y = _tied_pairs(sy) - tied_pairs_both
+    discordant = _strict_inversions(np.sort(joint) % ky, ky)
     concordant = m - discordant - tied_x - tied_y - tied_pairs_both
     return ConcordanceCounts(
         int(n), concordant, discordant, tied_x, tied_y, tied_pairs_both
@@ -289,7 +288,8 @@ def pair_stats(
 ) -> ConcordanceCounts:
     """Classify all unordered pairs of (x, y) jointly.
 
-    ``method="merge"`` is the O(n log n) default; ``"quadratic"`` is the
+    ``method="merge"`` is the default: dense codes plus a bit-wise inversion
+    count, O(n log n log k) for k distinct y values.  ``"quadratic"`` is the
     O(n^2) reference kept for differential testing.  Both are exact.
     """
     vx = as_score_vector(x)
@@ -354,16 +354,12 @@ def kemeny_variance(x: ScoreVector | Iterable[float]) -> int:
     Equals m iff x is tie-free and 0 iff x is constant.
     """
     v = as_score_vector(x)
-    xs = np.sort(v.values, kind="stable")
-    return v.pair_count - _tied_pair_sum(xs)
+    return v.pair_count - _tied_pairs(_dense(v.values)[1])
 
 
 def tie_block_sizes(x: ScoreVector | Iterable[float]) -> np.ndarray:
     """Sizes of the tie blocks of x (sorted order), as an int64 array."""
-    v = as_score_vector(x)
-    xs = np.sort(v.values, kind="stable")
-    boundaries = np.flatnonzero(xs[1:] != xs[:-1])
-    return np.diff(np.concatenate(([0], boundaries + 1, [v.n]))).astype(np.int64)
+    return _dense(as_score_vector(x).values)[1]
 
 
 def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
@@ -374,11 +370,10 @@ def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
     the O(n^2) score matrix.
     """
     v = as_score_vector(x)
-    n = v.n
-    _, inverse, counts = np.unique(v.values, return_inverse=True, return_counts=True)
-    less = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    net = (n - counts - less) - less  # (#greater) - (#less) per unique value
-    return RankVector(counts=net.astype(np.int64)[inverse])
+    codes, sizes = _dense(v.values)
+    less = np.cumsum(sizes) - sizes
+    net = (v.n - sizes - less) - less  # (#greater) - (#less) per tie block
+    return RankVector(counts=net[codes])
 
 
 def _rank_dots(
@@ -390,11 +385,16 @@ def _rank_dots(
         raise DataError(
             f"length mismatch: x has {kx.size} observations, y has {ky.size}"
         )
-    # integer sufficient statistics; Python ints avoid int64 overflow at n ~ 5e3
-    sxy = int(np.dot(kx, ky))
-    sxx = int(np.dot(kx, kx))
-    syy = int(np.dot(ky, ky))
-    return sxy, sxx, syy
+    # integer sufficient statistics, exact at any n: |counts| < n, so an
+    # int64 dot over `step` entries cannot wrap, and the chunks add as Python
+    # ints (one int64 dot would wrap past n ~ 3e6)
+    n = kx.size
+    step = max(1, np.iinfo(np.int64).max // (n * n))
+
+    def dot(a: np.ndarray, b: np.ndarray) -> int:
+        return sum(int(np.dot(a[i : i + step], b[i : i + step])) for i in range(0, n, step))
+
+    return dot(kx, ky), dot(kx, kx), dot(ky, ky)
 
 
 def spearman_rho(
@@ -412,7 +412,11 @@ def spearman_rho(
         raise DegenerateError(
             f"spearman_rho undefined: {which} is constant (zero rank variance)"
         )
-    return sxy / math.sqrt(sxx * syy)
+    # a perfect-square product (always so for y == x) is divided by its exact
+    # root, so |rho| = 1 stays exact where float(sxx * syy) would round
+    prod = sxx * syy
+    root = math.isqrt(prod)
+    return sxy / (root if root * root == prod else math.sqrt(prod))
 
 
 def spearman_distance(

@@ -15,13 +15,12 @@ import hashlib
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .errors import DataError
-from .null_models import population_variance
+from .errors import DataError, DegenerateError
+from .null_models import _kendall_b_variance, population_variance
 from .rank_core import arcsine_r, kemeny_tau, kendall_tau_b, pair_stats, spearman_rho
 from .reference import (
     CORRELATION_SPREADS,
@@ -158,9 +157,12 @@ def _midranks(v: np.ndarray) -> np.ndarray:
     return mid[inverse]
 
 
-def _classical_spearman(x: np.ndarray, y: np.ndarray) -> float:
-    rx = _midranks(x)
-    ry = _midranks(y)
+def _classical_spearman(x, y) -> float:
+    """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
+    rx = _midranks(np.asarray(x, dtype=float))
+    ry = _midranks(np.asarray(y, dtype=float))
+    if rx.std() == 0.0 or ry.std() == 0.0:
+        raise DegenerateError("constant column has no rank correlation")
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -198,30 +200,6 @@ def _draw_pair(
     )
 
 
-def _tie_adjusted_sd(x: np.ndarray, y: np.ndarray) -> float:
-    """sqrt of the tie-adjusted null variance of C - D (normal test scale)."""
-    n = x.size
-
-    def blocks(v):
-        _, c = np.unique(v, return_counts=True)
-        return c.astype(np.int64)
-
-    tx = blocks(x)
-    ty = blocks(y)
-    v0 = n * (n - 1) * (2 * n + 5)
-    vt = int(np.sum(tx * (tx - 1) * (2 * tx + 5)))
-    vu = int(np.sum(ty * (ty - 1) * (2 * ty + 5)))
-    v1 = int(np.sum(tx * (tx - 1))) * int(np.sum(ty * (ty - 1))) / (2.0 * n * (n - 1))
-    v2 = 0.0
-    if n > 2:
-        v2 = (
-            int(np.sum(tx * (tx - 1) * (tx - 2)))
-            * int(np.sum(ty * (ty - 1) * (ty - 2)))
-            / (9.0 * n * (n - 1) * (n - 2))
-        )
-    return math.sqrt((v0 - vt - vu) / 18.0 + v1 + v2)
-
-
 def _replicate(
     experiment: str,
     n: int,
@@ -255,7 +233,7 @@ def _replicate(
         if experiment == "null_calibration":
             return (s / sigma0,)
         if experiment == "table3":
-            return (s / _tie_adjusted_sd(x, y), s / sigma0)
+            return (s / math.sqrt(_kendall_b_variance(x, y)), s / sigma0)
         if experiment == "table5":
             return (spearman_rho(x, y) * math.sqrt(n - 1.0),)
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -375,6 +353,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         if config.workers == 1:
             drawn = [task(r) for r in reps]
         else:
+            # imported here: the pool pulls in multiprocessing (~0.8 MB RSS),
+            # which single-worker runs and the other commands never use
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, config.replications // (config.workers * 8))
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 drawn = list(pool.map(task, reps, chunksize=chunk))

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from conftest import fuzz_pair
-from kemeny_stat.cli import _classical_spearman
 from kemeny_stat.consistency import consistency_report
 from kemeny_stat.enum_oracle import exact_moments
 from kemeny_stat.errors import DegenerateError
@@ -33,7 +32,7 @@ from kemeny_stat.rank_core import (
     pair_stats,
     spearman_rho,
 )
-from kemeny_stat.simulate import default_config, run_simulation
+from kemeny_stat.simulate import _classical_spearman, default_config, run_simulation
 
 
 def _block(report, n):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kemeny_stat import null_models
 from kemeny_stat.cli import main
 from kemeny_stat.null_models import NullTable
 from kemeny_stat.simulate import default_config, run_simulation
@@ -114,6 +115,28 @@ class TestTest:
         assert code == 0
         assert "p exact-null" in out
         assert "normal-approx" in out
+
+    def test_past_exact_limit_builds_no_lattice(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(400)
+        rows = "\n".join(f"{a},{b}" for a, b in rng.integers(1, 6, size=(400, 2)))
+        path = tmp_path / "n400.csv"
+        path.write_text("a,b\n" + rows + "\n")
+
+        def refuse(n):
+            raise AssertionError(f"null_table({n}) built for an unused exact column")
+
+        monkeypatch.setattr(null_models, "null_table", refuse)
+        for null in ("auto", "normal"):
+            code, out, _ = run_cli(capsys, "test", str(path), "--null", null, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["null"] == "normal"
+            assert payload["p_exact_null"] is None
+        _, out, _ = run_cli(capsys, "test", str(path))
+        assert "p exact-null  n/a" in out
+        monkeypatch.undo()
+        _, out, _ = run_cli(capsys, "test", str(path), "--null", "exact", "--json")
+        assert json.loads(out)["p_exact_null"] is not None
 
 
 class TestMatrix:

@@ -361,6 +361,30 @@ class TestZKendallB:
         with pytest.raises(DegenerateError):
             nm.z_kendall_b([1, 1, 1], [1, 2, 3])
 
+    def test_variance_exact_past_int64_block_sums(self):
+        # t(t-1)(2t+5) of one 1.7e6 tie block alone passes int64
+        n, t = 1_700_010, 1_700_000
+        x = np.concatenate([np.zeros(t), np.arange(1.0, n - t + 1)])
+        y = np.arange(n) % 3
+        tx = [t] + [1] * (n - t)
+        ty = [int(c) for c in np.bincount(y)]
+
+        def sums(blocks):
+            return (
+                sum(u * (u - 1) for u in blocks),
+                sum(u * (u - 1) * (u - 2) for u in blocks),
+                sum(u * (u - 1) * (2 * u + 5) for u in blocks),
+            )
+
+        (tx2, tx3, vt), (ty2, ty3, vu) = sums(tx), sums(ty)
+        expected = (
+            (n * (n - 1) * (2 * n + 5) - vt - vu) / 18.0
+            + tx2 * ty2 / (2.0 * n * (n - 1))
+            + tx3 * ty3 / (9.0 * n * (n - 1) * (n - 2))
+        )
+        res = nm.z_kendall_b(x, y)
+        assert res.details["variance"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestZSpearman:
     def test_calibrated_statistic_scaling(self):

@@ -124,8 +124,21 @@ class TestPairStats:
     def test_merge_equals_quadratic(self):
         """Differential test: the two classification paths agree exactly."""
         rng = np.random.default_rng(7)
-        for _ in range(400):
-            x, y = fuzz_pair(rng, n_hi=40)
+        pairs = [fuzz_pair(rng, n_hi=40) for _ in range(400)]
+        # level counts on both sides of the bit boundaries of the dense codes
+        for k in (2, 3, 4, 5, 8, 9, 16, 17):
+            pairs.append(tuple(rng.permutation(np.arange(60) % k) for _ in range(2)))
+        pairs += [([4.0] * 7, [1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0]), ([5.0] * 5, [5.0] * 5)]
+        pairs += [([1.0, 2.0], [2.0, 1.0]), ([1.0, 1.0], [0.0, 2.0]), ([0.0, -0.0], [INF, -INF])]
+        signed = np.array([-INF, -0.0, 0.0, INF, -INF, 0.0, 1.0, -0.0, INF, -1.0])
+        pairs += [(signed, signed[::-1]), (rng.permutation(signed), signed)]
+        likert = rng.integers(1, 6, size=(2000, 2)).astype(float)
+        pairs += [
+            (likert[:, 0], likert[:, 1]),
+            (likert[:, 0], rng.standard_normal(2000)),
+            (rng.standard_normal(2000), rng.integers(0, 1500, 2000).astype(float)),
+        ]
+        for x, y in pairs:
             assert pair_stats(x, y, method="merge") == pair_stats(
                 x, y, method="quadratic"
             )
@@ -309,6 +322,11 @@ class TestSpearman:
     def test_constant_raises(self):
         with pytest.raises(DegenerateError, match="constant"):
             spearman_rho([1, 1, 1], [1, 2, 3])
+
+    def test_exact_past_int64_rank_dots(self):
+        # the rank-image sum of squares, (n^3 - n)/3, passes int64 at n ~ 3.03e6
+        x = np.arange(3_200_000, dtype=float)
+        assert spearman_rho(x, x) == 1.0
 
     def test_distance_endpoints(self):
         assert spearman_distance([1, 2, 3], [5, 6, 7]) == pytest.approx(0.0)
