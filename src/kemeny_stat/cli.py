@@ -35,13 +35,7 @@ from .multivar import (
     min_eigenvalue,
 )
 from .null_models import null_table, z_kemeny, z_kendall_b, z_spearman
-from .rank_core import (
-    arcsine_r,
-    kemeny_tau,
-    kendall_tau_b,
-    pair_stats,
-    spearman_rho,
-)
+from .rank_core import _tau_b, arcsine_r, pair_stats, spearman_rho
 from .simulate import EXPERIMENTS, _classical_spearman, default_config, run_simulation
 from .simulate import render_text as _render_simulation
 
@@ -67,13 +61,15 @@ def _pearson(x, y) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+# each estimator reads (x, y, cc): the two counting ones take the command's
+# single pair count instead of counting the pairs again
 _ESTIMATORS = {
-    "pearson": _pearson,
-    "spearman": _classical_spearman,
-    "kemeny-rho": spearman_rho,
-    "kemeny-tau": kemeny_tau,
-    "kendall-b": kendall_tau_b,
-    "arcsine-r": arcsine_r,
+    "pearson": lambda x, y, cc: _pearson(x, y),
+    "spearman": lambda x, y, cc: _classical_spearman(x, y),
+    "kemeny-rho": lambda x, y, cc: spearman_rho(x, y),
+    "kemeny-tau": lambda x, y, cc: cc.net_concordance / cc.pair_count,
+    "kendall-b": lambda x, y, cc: _tau_b(cc),
+    "arcsine-r": lambda x, y, cc: arcsine_r(x, y),
 }
 
 
@@ -132,8 +128,8 @@ def _render_correlate(payload: dict) -> str:
 def _cmd_correlate(args) -> None:
     x, y, x_name, y_name = _load_xy(args)
     methods = list(_ESTIMATORS) if args.method == "all" else [args.method]
-    estimates = {name: float(_ESTIMATORS[name](x, y)) for name in methods}
     cc = pair_stats(x, y)
+    estimates = {name: float(_ESTIMATORS[name](x, y, cc)) for name in methods}
     payload = {
         "columns": [x_name, y_name],
         "n": cc.n,
@@ -173,7 +169,7 @@ def _cmd_test(args) -> None:
     cc = pair_stats(x, y)
     if args.method == "kendall-b":
         result = normal = z_kendall_b(x, y)
-        estimate = kendall_tau_b(x, y)
+        estimate = _tau_b(cc)
         exact = None
     else:
         if args.method == "kemeny":

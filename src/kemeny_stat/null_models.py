@@ -49,11 +49,16 @@ __all__ = [
     "z_kendall_b",
     "z_spearman",
     "EXACT_LIMIT",
+    "NULL_TABLE_MAX_ENTRIES",
 ]
 
 #: Largest n at which the kemeny z test reads its p-value from the lattice
 #: null by default; past it the table grows as n^2 and the normal null is used.
 EXACT_LIMIT: int = 350
+
+#: Largest lattice :func:`null_table` builds, in support entries.  The build
+#: peaks at about 42 B per entry, so this is about 350 MB, reached near n = 2900.
+NULL_TABLE_MAX_ENTRIES: int = 1 << 23
 
 
 def population_variance(n: int) -> Fraction:
@@ -345,7 +350,11 @@ class NullTable:
 
 @functools.lru_cache(maxsize=128)
 def null_table(n: int) -> NullTable:
-    """Build (and cache) the lattice null for sample size n >= 3."""
+    """Build (and cache) the lattice null for sample size n >= 3.
+
+    Refuses, before allocating, a lattice of more than
+    :data:`NULL_TABLE_MAX_ENTRIES` support entries.
+    """
     n = int(n)
     m = n * (n - 1) // 2
     alpha = float(alpha_of_n(n))
@@ -355,6 +364,12 @@ def null_table(n: int) -> NullTable:
     smax = min(m, int(math.floor(q)))
     while smax > 0 and q * q - smax * smax <= 0.0:
         smax -= 1
+    entries = 2 * smax + 1
+    if entries > NULL_TABLE_MAX_ENTRIES:
+        raise DomainError(
+            f"exact null for n={n} needs {entries} support entries, over the "
+            f"budget of {NULL_TABLE_MAX_ENTRIES}; use the normal null (--null normal)"
+        )
     half = np.arange(0, smax + 1, dtype=np.int64)
     logw = alpha * np.log(q * q - half.astype(float) ** 2)
     support = np.concatenate([-half[:0:-1], half])

@@ -449,7 +449,11 @@ def kendall_tau_b(
     The per-margin denominators are exactly the untied pair counts of x and y,
     so on tie-free data tau_b == tau_kappa.  Constant inputs raise.
     """
-    c = pair_stats(x, y)
+    return _tau_b(pair_stats(x, y))
+
+
+def _tau_b(c: ConcordanceCounts) -> float:
+    """:func:`kendall_tau_b` from pair counts already taken."""
     m = c.pair_count
     untied_x = m - c.tied_x - c.tied_both
     untied_y = m - c.tied_y - c.tied_both

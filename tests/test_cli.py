@@ -266,6 +266,26 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numeric error" in err
+        for argv, message in (
+            (("test", "--method", "kendall-b"), "tie structure leaves no variance"),
+            (("correlate", "--method", "kendall-b"), "kendall_tau_b undefined: x is constant"),
+        ):
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (3, "")
+            assert err.startswith("numeric error: " + message)
+
+    def test_null_table_over_budget_is_numeric_error(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(400)
+        rows = "\n".join(f"{a},{b}" for a, b in rng.integers(1, 6, size=(400, 2)))
+        path = tmp_path / "n400.csv"
+        path.write_text("a,b\n" + rows + "\n")
+        monkeypatch.setattr(null_models, "NULL_TABLE_MAX_ENTRIES", 1000)
+        null_models.null_table.cache_clear()
+        for argv, n in ((("nulls", "300"), 300), (("test", str(path), "--null", "exact"), 400)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"numeric error: exact null for n={n} needs ")
+            assert "--null normal" in err and "Traceback" not in err
 
     def test_enumerate_out_of_range_is_numeric_error(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "12")

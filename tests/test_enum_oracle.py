@@ -2,7 +2,8 @@
 
 The n=2 and n=3 histograms below were enumerated by hand (4 and 27 vectors)
 before being frozen; larger cases are checked against independent brute force
-over itertools and against the closed-form variance.
+over itertools, against the chunked brute force below, and against the
+closed-form variance.
 """
 
 from __future__ import annotations
@@ -23,6 +24,28 @@ from kemeny_stat.enum_oracle import (
     exact_moments,
 )
 from kemeny_stat.errors import DomainError
+
+
+def _chunk_vectors(n: int, start: int, stop: int) -> np.ndarray:
+    """Universe members with base-n indices in [start, stop), as a matrix."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] // place[None, :]) % n).astype(np.int8)  # 0..n-1
+
+
+def _brute_force_counts(n: int, chunk_size: int = 1 << 17) -> tuple[int, ...]:
+    """Reference: score all n^n members in base-n order, chunk by chunk."""
+    m = n * (n - 1) // 2
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    counts = np.zeros(2 * m + 1, dtype=np.int64)
+    total = n**n
+    for start in range(0, total, chunk_size):
+        v = _chunk_vectors(n, start, min(start + chunk_size, total))
+        acc = np.zeros(v.shape[0], dtype=np.int16)
+        for k, l in pairs:
+            acc += np.sign(v[:, k] - v[:, l], dtype=np.int8)
+        counts += np.bincount(acc.astype(np.int64) + m, minlength=2 * m + 1)
+    return tuple(int(c) for c in counts)
 
 
 class TestPopulationSpec:
@@ -113,9 +136,18 @@ class TestExactDistribution:
             assert {v: c for v, c in zip(base.support, base.counts) if c} == hist
 
     def test_chunk_size_is_immaterial(self):
-        a = exact_distance_distribution(4, chunk_size=7)
-        b = exact_distance_distribution(4, chunk_size=1 << 17)
-        assert a == b
+        assert _brute_force_counts(4, chunk_size=7) == _brute_force_counts(4)
+
+    def test_matches_chunked_bruteforce(self):
+        for n in range(2, 8):
+            assert exact_distance_distribution(n).counts == _brute_force_counts(n)
+
+    def test_n8_pinned(self):
+        """Values read from the n^n brute force, which takes seconds at n = 8."""
+        d = exact_distance_distribution(8)
+        assert d.support == tuple(range(-28, 29))
+        assert sum(d.counts) == 8**8
+        assert list(d.counts) == list(d.counts)[::-1]
 
     def test_tie_free_restriction_is_doubled_kendall(self):
         """Strict members reproduce the inversion distribution at scale 2."""
@@ -138,6 +170,10 @@ class TestExactMoments:
     def test_n3(self):
         var, kurt = exact_moments(3)
         assert (var, kurt) == (Fraction(70, 27), Fraction(9666, 4900))
+
+    def test_n7_n8_pinned(self):
+        assert exact_moments(7) == (Fraction(286, 7), Fraction(757067, 286286))
+        assert exact_moments(8) == (Fraction(245, 4), Fraction(661, 245))
 
     def test_variance_values_are_rational(self):
         var, kurt = exact_moments(4)
