@@ -34,7 +34,7 @@ from .multivar import (
     is_positive_definite,
     min_eigenvalue,
 )
-from .null_models import null_table, z_kemeny, z_kendall_b, z_spearman
+from .null_models import EXACT_LIMIT, null_table, z_kemeny, z_kendall_b, z_spearman
 from .rank_core import _tau_b, arcsine_r, pair_stats, spearman_rho
 from .simulate import EXPERIMENTS, _classical_spearman, default_config, run_simulation
 from .simulate import render_text as _render_simulation
@@ -142,10 +142,24 @@ def _cmd_correlate(args) -> None:
 # --------------------------------------------------------------------------
 # test
 
+def _no_exact_null(method: str, n: int) -> str:
+    """Why ``test`` printed no exact-null p for this method and n."""
+    if method == "kendall-b":
+        return "no exact null"
+    if method == "spearman":
+        return f"n = {n} outside the tabulated 3..19"
+    if n > EXACT_LIMIT:
+        return f"n = {n} > exact limit {EXACT_LIMIT}; --null exact builds it"
+    return "no lattice null below n = 3"
+
+
 def _render_test(payload: dict) -> str:
     def fmt(p):
         return "n/a" if p is None else f"{p:.6g}"
 
+    exact = fmt(payload["p_exact_null"])
+    if payload["p_exact_null"] is None:
+        exact += f" ({_no_exact_null(payload['method'], payload['n'])})"
     lines = [
         f"{payload['method']} test  columns: {payload['columns'][0]} vs "
         f"{payload['columns'][1]}  n = {payload['n']}",
@@ -153,7 +167,7 @@ def _render_test(payload: dict) -> str:
         f"  z             {payload['z']:+.6f}  ({payload['null']} null)",
         f"  p two-sided   {fmt(payload['p_two_sided'])}   one-sided "
         f"{fmt(payload['p_one_sided'])}",
-        f"  p exact-null  {fmt(payload['p_exact_null'])}   normal-approx "
+        f"  p exact-null  {exact}   normal-approx "
         f"{fmt(payload['p_normal'])}",
     ]
     t = payload["ties"]

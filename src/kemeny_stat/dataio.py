@@ -4,13 +4,23 @@ Plain comma-separated text with a mandatory header row.  Cells must parse
 as floats; ``inf``/``-inf`` are legal scores (the pair metric only ever
 compares values), missing or non-numeric cells are hard errors that point
 at the offending line.
+
+The body of a seekable source is parsed in one ``np.loadtxt`` pass straight
+into float64, with no Python object per cell.  Anything that pass cannot
+take as it is (quoted cells, ``1_000``, blank-cell rows, a width that
+differs from the header, fewer than two rows, NaN) sends the source back to
+where it started and through the row loop, which is the reference: it
+accepts the same inputs and reports every error with its line and column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from typing import IO, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .multivar import DataMatrix
@@ -21,13 +31,55 @@ __all__ = ["load_csv"]
 def load_csv(source: str | IO[str], *, columns: Sequence[str] | None = None) -> DataMatrix:
     """Read a headed CSV into a DataMatrix, optionally selecting columns."""
     if hasattr(source, "read"):
-        rows = list(csv.reader(source))
+        matrix = _load(source)
     else:
         try:
             with open(source, newline="") as handle:
-                rows = list(csv.reader(handle))
+                matrix = _load(handle)
         except OSError as exc:
             raise DataError(f"cannot read {source}: {exc.strerror}") from None
+    if columns is not None:
+        matrix = matrix.select(list(columns))
+    return matrix
+
+
+def _load(handle: IO[str]) -> DataMatrix:
+    """The columnar pass where the handle can be rewound, else the row loop."""
+    try:
+        start = handle.tell() if handle.seekable() else None
+    except (AttributeError, OSError, ValueError):
+        # no position to come back to (a pipe, a closed handle, or iteration
+        # already begun)
+        start = None
+    if start is not None:
+        matrix = _load_columns(handle)
+        if matrix is not None:
+            return matrix
+        handle.seek(start)
+    return _load_rows(handle)
+
+
+def _load_columns(handle: IO[str]) -> DataMatrix | None:
+    """The body in one ``np.loadtxt`` pass, or None where the row loop decides."""
+    row = next(csv.reader(handle), None)
+    header = [name.strip() for name in row or ()]
+    if not header or not all(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a header-only body is the row loop's error to report
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape[0] < 2 or values.shape[1] != len(header) or np.isnan(values).any():
+        return None
+    return DataMatrix(values, header)
+
+
+def _load_rows(handle: IO[str]) -> DataMatrix:
+    """Parse cell by cell: the reference path and the error reporter."""
+    rows = list(csv.reader(handle))
     if not rows:
         raise DataError("empty input: expected a header row")
     header = [name.strip() for name in rows[0]]
@@ -59,7 +111,4 @@ def load_csv(source: str | IO[str], *, columns: Sequence[str] | None = None) -> 
         data.append(parsed)
     if len(data) < 2:
         raise DataError("need at least two data rows")
-    matrix = DataMatrix(data, header)
-    if columns is not None:
-        matrix = matrix.select(list(columns))
-    return matrix
+    return DataMatrix(data, header)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, DecompositionError, DomainError
 from .rank_core import (
+    _refuse_pairwise,
     arcsine_r,
     as_score_vector,
     kemeny_tau,
@@ -282,6 +283,7 @@ def hoeffding_h(
     """
     def cdf_kernel(values) -> np.ndarray:
         v = as_score_vector(values).values
+        _refuse_pairwise(v.size, "hoeffding_h")
         # compare instead of subtracting so equal infinities score 1/2
         sign = (v[:, None] > v[None, :]).astype(float)
         sign -= (v[:, None] < v[None, :]).astype(float)

@@ -134,9 +134,25 @@ class TestTest:
             assert payload["p_exact_null"] is None
         _, out, _ = run_cli(capsys, "test", str(path))
         assert "p exact-null  n/a" in out
+        assert "n/a (n = 400 > exact limit 350; --null exact builds it)" in out
         monkeypatch.undo()
         _, out, _ = run_cli(capsys, "test", str(path), "--null", "exact", "--json")
         assert json.loads(out)["p_exact_null"] is not None
+
+    def test_text_says_why_exact_is_na(self, capsys, csv_path, tmp_path):
+        reasons = {
+            "spearman": "n/a (n = 25 outside the tabulated 3..19)",
+            "kendall-b": "n/a (no exact null)",
+        }
+        for method, reason in reasons.items():
+            code, out, _ = run_cli(capsys, "test", csv_path, "--method", method)
+            assert code == 0 and reason in out
+        code, out, _ = run_cli(capsys, "test", csv_path)
+        assert code == 0 and "n/a" not in out
+        two = tmp_path / "two.csv"
+        two.write_text("a,b\n1,2\n3,1\n")
+        code, out, _ = run_cli(capsys, "test", str(two))
+        assert code == 0 and "n/a (no lattice null below n = 3)" in out
 
 
 class TestMatrix:

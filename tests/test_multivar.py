@@ -261,3 +261,9 @@ class TestHoeffding:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             mv.hoeffding_h([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_refuses_large_n_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(rc, "PAIRWISE_MAX_N", 10)
+        with pytest.raises(DataError, match="hoeffding_h.*n = 11"):
+            mv.hoeffding_h(np.arange(11.0), np.arange(11.0))
+        assert mv.hoeffding_h(np.arange(10.0), np.arange(10.0)).statistic > 0

@@ -35,6 +35,7 @@ from kemeny_stat import (
     spearman_rho,
     spearman_distance,
 )
+from kemeny_stat import rank_core
 from kemeny_stat.rank_core import tie_block_sizes
 
 from conftest import fuzz_pair
@@ -138,10 +139,33 @@ class TestPairStats:
             (likert[:, 0], rng.standard_normal(2000)),
             (rng.standard_normal(2000), rng.integers(0, 1500, 2000).astype(float)),
         ]
+        # y level counts at the uint8 / uint16 key boundaries of the bit sorts
+        for k in (255, 256, 257, 513):
+            pairs.append((rng.standard_normal(2000), rng.permutation(np.arange(2000) % k)))
         for x, y in pairs:
             assert pair_stats(x, y, method="merge") == pair_stats(
                 x, y, method="quadratic"
             )
+
+    def test_tie_free_past_16_bit_keys_matches_scipy(self):
+        # 140_000 levels: the top bit level keeps int64 keys, the rest radix-sort
+        rng = np.random.default_rng(17)
+        n = 140_000
+        x = rng.standard_normal(n)
+        y = 0.4 * x + rng.standard_normal(n)
+        c = pair_stats(x, y)
+        assert (c.tied_x, c.tied_y, c.tied_both) == (0, 0, 0)
+        assert c.net_concordance == round(scipy.stats.kendalltau(x, y).statistic * c.pair_count)
+
+    def test_pairwise_routes_refuse_large_n(self, monkeypatch):
+        monkeypatch.setattr(rank_core, "PAIRWISE_MAX_N", 10)
+        x = np.arange(11.0)
+        with pytest.raises(DataError, match="n = 11"):
+            pair_signs(x)
+        with pytest.raises(DataError, match="n = 11"):
+            pair_stats(x, x, method="quadratic")
+        assert pair_stats(x, x).concordant == 55
+        assert pair_signs(x[:10]).codes.size == 45
 
     def test_symmetry_swaps_tie_roles(self):
         rng = np.random.default_rng(3)
