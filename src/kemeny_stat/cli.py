@@ -20,14 +20,12 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .consistency import consistency_report
 from .consistency import render_text as _render_consistency
 from .dataio import load_csv
 from .enum_oracle import MAX_ENUM_N, exact_distance_distribution
-from .errors import DataError, DegenerateError, NumericError
+from .errors import DataError, NumericError
 from .multivar import (
     CORRELATION_METHODS,
     correlation_matrix,
@@ -35,8 +33,8 @@ from .multivar import (
     min_eigenvalue,
 )
 from .null_models import EXACT_LIMIT, null_table, z_kemeny, z_kendall_b, z_spearman
-from .rank_core import _tau_b, arcsine_r, pair_stats, spearman_rho
-from .simulate import EXPERIMENTS, _classical_spearman, default_config, run_simulation
+from .rank_core import ScoreVector, pair_stats
+from .simulate import ESTIMATORS, EXPERIMENTS, default_config, run_simulation
 from .simulate import render_text as _render_simulation
 
 __all__ = ["build_parser", "main", "entry"]
@@ -53,26 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _pearson(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.std() == 0.0 or y.std() == 0.0:
-        raise DegenerateError("constant column has no correlation")
-    return float(np.corrcoef(x, y)[0, 1])
-
-
-# each estimator reads (x, y, cc): the two counting ones take the command's
-# single pair count instead of counting the pairs again
-_ESTIMATORS = {
-    "pearson": lambda x, y, cc: _pearson(x, y),
-    "spearman": lambda x, y, cc: _classical_spearman(x, y),
-    "kemeny-rho": lambda x, y, cc: spearman_rho(x, y),
-    "kemeny-tau": lambda x, y, cc: cc.net_concordance / cc.pair_count,
-    "kendall-b": lambda x, y, cc: _tau_b(cc),
-    "arcsine-r": lambda x, y, cc: arcsine_r(x, y),
-}
-
-
 def _tie_summary(cc) -> dict:
     return {
         "pairs": cc.pair_count,
@@ -86,9 +64,14 @@ def _tie_summary(cc) -> dict:
 
 def _load_xy(args):
     data = load_csv(args.csv)
+    if args.y is None and data.p < 2:
+        raise DataError(
+            f"{args.csv} has one column, {data.columns[0]!r}; name the second with --y"
+        )
     x_name = args.x if args.x is not None else data.columns[0]
     y_name = args.y if args.y is not None else data.columns[1]
-    return data.column(x_name), data.column(y_name), x_name, y_name
+    x, y = ScoreVector(data.column(x_name)), ScoreVector(data.column(y_name))
+    return x, y, x_name, y_name
 
 
 def _write(args, text: str) -> None:
@@ -127,9 +110,9 @@ def _render_correlate(payload: dict) -> str:
 
 def _cmd_correlate(args) -> None:
     x, y, x_name, y_name = _load_xy(args)
-    methods = list(_ESTIMATORS) if args.method == "all" else [args.method]
+    methods = list(ESTIMATORS) if args.method == "all" else [args.method]
     cc = pair_stats(x, y)
-    estimates = {name: float(_ESTIMATORS[name](x, y, cc)) for name in methods}
+    estimates = {name: float(ESTIMATORS[name](x, y, cc)) for name in methods}
     payload = {
         "columns": [x_name, y_name],
         "n": cc.n,
@@ -181,24 +164,22 @@ def _render_test(payload: dict) -> str:
 def _cmd_test(args) -> None:
     x, y, x_name, y_name = _load_xy(args)
     cc = pair_stats(x, y)
-    if args.method == "kendall-b":
-        result = normal = z_kendall_b(x, y)
-        estimate = _tau_b(cc)
-        exact = None
-    else:
-        if args.method == "kemeny":
-            run = functools.partial(z_kemeny, x, y, scale=args.scale)
-            estimate = cc.net_concordance / cc.pair_count
-        else:
-            run = functools.partial(z_spearman, x, y, as_ratio=args.ratio)
-            estimate = spearman_rho(x, y)
-        result = run(null=args.null)
-        # "auto" picks the exact null wherever one is defined and affordable
-        # (kemeny: 3 <= n <= null_models.EXACT_LIMIT), so it alone decides the
-        # exact column; past the limit only --null exact builds a lattice
-        best = run(null="auto") if args.null == "normal" else result
-        exact = best if best.null != "normal" else None
-        normal = result if result.null == "normal" else run(null="normal")
+    # each method's z test, and the ESTIMATORS entry it reports as the estimate;
+    # kendall-b has the normal null only, so its one test serves every --null
+    kendall_b = functools.cache(lambda: z_kendall_b(x, y))
+    run, estimator = {
+        "kemeny": (functools.partial(z_kemeny, x, y, scale=args.scale), "kemeny-tau"),
+        "spearman": (functools.partial(z_spearman, x, y, as_ratio=args.ratio), "kemeny-rho"),
+        "kendall-b": (lambda null: kendall_b(), "kendall-b"),
+    }[args.method]
+    result = run(null=args.null)
+    estimate = ESTIMATORS[estimator](x, y, cc)
+    # "auto" picks the exact null wherever one is defined and affordable
+    # (kemeny: 3 <= n <= null_models.EXACT_LIMIT), so it alone decides the
+    # exact column; past the limit only --null exact builds a lattice
+    best = run(null="auto") if args.null == "normal" else result
+    exact = best if best.null != "normal" else None
+    normal = result if result.null == "normal" else run(null="normal")
     payload = {
         "columns": [x_name, y_name],
         "n": cc.n,
@@ -402,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", parents=[common, columns],
                        help="estimator family on two columns")
     p.add_argument("--method", default="all",
-                   choices=["all", *_ESTIMATORS],
+                   choices=["all", *ESTIMATORS],
                    help="one estimator, or all six (default)")
     p.set_defaults(func=_cmd_correlate)
 

@@ -61,7 +61,10 @@ def _load(handle: IO[str]) -> DataMatrix:
 
 def _load_columns(handle: IO[str]) -> DataMatrix | None:
     """The body in one ``np.loadtxt`` pass, or None where the row loop decides."""
-    row = next(csv.reader(handle), None)
+    try:
+        row = next(csv.reader(handle), None)
+    except csv.Error:
+        return None  # the row loop reports it
     header = [name.strip() for name in row or ()]
     if not header or not all(header):
         return None
@@ -79,7 +82,11 @@ def _load_columns(handle: IO[str]) -> DataMatrix | None:
 
 def _load_rows(handle: IO[str]) -> DataMatrix:
     """Parse cell by cell: the reference path and the error reporter."""
-    rows = list(csv.reader(handle))
+    reader = csv.reader(handle)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell past csv's field size limit
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError("empty input: expected a header row")
     header = [name.strip() for name in rows[0]]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, DecompositionError, DomainError
 from .rank_core import (
+    ScoreVector,
     _refuse_pairwise,
     arcsine_r,
     as_score_vector,
@@ -140,11 +141,13 @@ def correlation_matrix(data: DataMatrix, method: str = "kemeny_tau") -> RankCorr
         )
     estimator = CORRELATION_METHODS[method]
     p = data.p
+    # one ScoreVector per column, so each column is ranked once for all pairs
+    cols = [ScoreVector(data.values[:, i]) for i in range(p)]
     out = np.eye(p)
     for i in range(p):
         for j in range(i + 1, p):
-            out[i, j] = out[j, i] = estimator(data.values[:, i], data.values[:, j])
-    sigmas = np.sqrt([kemeny_variance(data.values[:, i]) for i in range(p)])
+            out[i, j] = out[j, i] = estimator(cols[i], cols[j])
+    sigmas = np.sqrt([kemeny_variance(c) for c in cols])
     return RankCorrMatrix(
         matrix=out, method=method, columns=tuple(data.columns), sigmas=sigmas
     )

@@ -60,6 +60,9 @@ EXACT_LIMIT: int = 350
 #: peaks at about 42 B per entry, so this is about 350 MB, reached near n = 2900.
 NULL_TABLE_MAX_ENTRIES: int = 1 << 23
 
+#: Midpoints of the quadrature grid in :func:`spearman_null`.
+SPEARMAN_GRID_POINTS: int = 8192
+
 
 def population_variance(n: int) -> Fraction:
     """Exact variance of S = C - D over the full tied population of size n.
@@ -408,7 +411,7 @@ class SpearmanNull:
 
 
 @functools.lru_cache(maxsize=32)
-def spearman_null(n: int, grid_points: int = 8192) -> SpearmanNull:
+def spearman_null(n: int) -> SpearmanNull:
     """Build (and cache) the exact-kurtosis kernel null, 3 <= n <= 19."""
     n = int(n)
     if n < 3 or n not in SPEARMAN_STD_KURTOSIS_BY_N:
@@ -417,8 +420,8 @@ def spearman_null(n: int, grid_points: int = 8192) -> SpearmanNull:
     alpha = alpha_from_kurtosis(kurt)
     q = math.sqrt(2.0 * alpha + 3.0)
     lim = min(q, math.sqrt(n - 1.0))
-    step = 2.0 * lim / grid_points
-    grid = -lim + (np.arange(grid_points) + 0.5) * step
+    step = 2.0 * lim / SPEARMAN_GRID_POINTS
+    grid = -lim + (np.arange(SPEARMAN_GRID_POINTS) + 0.5) * step
     weights = (q * q - grid**2) ** alpha
     probabilities = weights / weights.sum()
     return SpearmanNull(n=n, alpha=alpha, q=q, grid=grid, probabilities=probabilities)
@@ -457,7 +460,6 @@ def z_kemeny(
     *,
     scale: str = "population",
     null: str = "auto",
-    exact_limit: int = EXACT_LIMIT,
 ) -> TestResult:
     """Test for order independence via the concordance count S = C - D.
 
@@ -466,8 +468,8 @@ def z_kemeny(
     "sample" divides by sqrt(ux uy) / m with ux, uy the per-column untied
     pair counts, which is m times the tie-adjusted tau.  The p-value is
     driven by S itself against the lattice null (mid-p) when n is small
-    enough, else by the population-calibrated z against a normal, so the
-    choice of displayed scale never changes the p-value.
+    enough ("auto": n <= EXACT_LIMIT), else by the population-calibrated z
+    against a normal, so the choice of displayed scale never changes the p-value.
     """
     counts = pair_stats(x, y)
     n = counts.n
@@ -486,7 +488,7 @@ def z_kemeny(
         raise ValueError(f"unknown scale {scale!r}")
     if null not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown null {null!r}")
-    use_exact = null == "exact" or (null == "auto" and 3 <= n <= exact_limit)
+    use_exact = null == "exact" or (null == "auto" and 3 <= n <= EXACT_LIMIT)
     if use_exact:
         table = null_table(n)
         p_one = table.p_upper(s)
@@ -538,6 +540,7 @@ def z_kendall_b(
     Variance (v0 - vt - vu)/18 + v1 + v2 with the usual tie-block sums;
     degenerates (and raises) when either column is constant.
     """
+    x, y = as_score_vector(x), as_score_vector(y)
     counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
@@ -572,8 +575,9 @@ def z_spearman(
     calibrated form: kernel null when the exact kurtosis is tabulated
     (3 <= n <= 19), normal otherwise.
     """
+    x, y = as_score_vector(x), as_score_vector(y)
     rho = spearman_rho(x, y)
-    n = as_score_vector(x).n
+    n = x.n
     root = math.sqrt(n - 1.0)
     z_cal = rho * root
     statistic = rho / root if as_ratio else z_cal

@@ -32,6 +32,7 @@ agree with it exactly and the two are differentially tested.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -106,6 +107,14 @@ class ScoreVector:
     def pair_count(self) -> int:
         """m = n(n-1)/2, the number of unordered pairs."""
         return self.n * (self.n - 1) // 2
+
+    @functools.cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only dense codes and tie-block sizes, ranked on first use and kept
+        (``values`` is a private read-only copy, so they cannot go stale)."""
+        codes, sizes = _dense(self.values)
+        codes.flags.writeable = sizes.flags.writeable = False
+        return codes, sizes
 
 
 def as_score_vector(x: ScoreVector | Iterable[float] | np.ndarray) -> ScoreVector:
@@ -240,8 +249,8 @@ def _pair_stats_quadratic(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
 def _dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense codes 0..k-1 of v (in value order) and its k tie-block sizes.
 
-    The one place values are ranked: every tie count, concordance count and
-    rank image in this module is read from these two arrays.
+    The one place values are ranked: a column through
+    :attr:`ScoreVector.ranks`, and the joint codes of a pair.
     """
     _, codes, sizes = np.unique(v, return_inverse=True, return_counts=True)
     return codes.astype(np.int64, copy=False), sizes.astype(np.int64, copy=False)
@@ -281,7 +290,7 @@ def _strict_inversions(codes: np.ndarray, k: int, runs: int) -> int:
     return total
 
 
-def _pair_stats_merge(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
+def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     """O(n log n log k) path: dense codes, block sizes, a bit-wise inversion count.
 
     Tie-pair totals come from the block sizes of the x codes, the y codes and
@@ -290,10 +299,9 @@ def _pair_stats_merge(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
     an x tie block they ascend, so such pairs are never counted).  Concordant
     pairs are whatever remains of m.
     """
-    n = xv.size
-    m = n * (n - 1) // 2
-    cx, sx = _dense(xv)
-    cy, sy = _dense(yv)
+    m = vx.pair_count
+    cx, sx = vx.ranks
+    cy, sy = vy.ranks
     ky = sy.size
     joint = cx * ky + cy
     tied_pairs_both = _tied_pairs(_dense(joint)[1])
@@ -301,9 +309,7 @@ def _pair_stats_merge(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
     tied_y = _tied_pairs(sy) - tied_pairs_both
     discordant = _strict_inversions(np.sort(joint) % ky, ky, sx.size)
     concordant = m - discordant - tied_x - tied_y - tied_pairs_both
-    return ConcordanceCounts(
-        int(n), concordant, discordant, tied_x, tied_y, tied_pairs_both
-    )
+    return ConcordanceCounts(vx.n, concordant, discordant, tied_x, tied_y, tied_pairs_both)
 
 
 def pair_stats(
@@ -325,7 +331,7 @@ def pair_stats(
     if method == "quadratic":
         return _pair_stats_quadratic(vx.values, vy.values)
     if method == "merge":
-        return _pair_stats_merge(vx.values, vy.values)
+        return _pair_stats_merge(vx, vy)
     raise DomainError(f"unknown pair_stats method {method!r}")
 
 
@@ -380,12 +386,12 @@ def kemeny_variance(x: ScoreVector | Iterable[float]) -> int:
     Equals m iff x is tie-free and 0 iff x is constant.
     """
     v = as_score_vector(x)
-    return v.pair_count - _tied_pairs(_dense(v.values)[1])
+    return v.pair_count - _tied_pairs(v.ranks[1])
 
 
 def tie_block_sizes(x: ScoreVector | Iterable[float]) -> np.ndarray:
-    """Sizes of the tie blocks of x (sorted order), as an int64 array."""
-    return _dense(as_score_vector(x).values)[1]
+    """Sizes of the tie blocks of x (sorted order), as a read-only int64 array."""
+    return as_score_vector(x).ranks[1]
 
 
 def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
@@ -396,7 +402,7 @@ def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
     the O(n^2) score matrix.
     """
     v = as_score_vector(x)
-    codes, sizes = _dense(v.values)
+    codes, sizes = v.ranks
     less = np.cumsum(sizes) - sizes
     net = (v.n - sizes - less) - less  # (#greater) - (#less) per tie block
     return RankVector(counts=net[codes])

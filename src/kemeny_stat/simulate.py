@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import DataError, DegenerateError
 from .null_models import _kendall_b_variance, population_variance
-from .rank_core import arcsine_r, kemeny_tau, kendall_tau_b, pair_stats, spearman_rho
+from .rank_core import ScoreVector, _tau_b, arcsine_r, as_score_vector, pair_stats, spearman_rho
 from .reference import (
     CORRELATION_SPREADS,
     NULL_DISTANCE_SUMMARIES,
@@ -31,6 +31,7 @@ from .reference import (
 )
 
 __all__ = [
+    "ESTIMATORS",
     "EXPERIMENTS",
     "SimulationConfig",
     "SimulationReport",
@@ -149,21 +150,39 @@ def default_config(experiment: str, seed: int, **overrides) -> SimulationConfig:
     return SimulationConfig(experiment=experiment, seed=seed, **params)
 
 
-def _midranks(v: np.ndarray) -> np.ndarray:
+def _midranks(x) -> np.ndarray:
     """Classical average ranks, 1-based; the textbook Spearman route."""
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    mid = 0.5 * (ends - counts + 1 + ends)
-    return mid[inverse]
+    codes, sizes = as_score_vector(x).ranks
+    ends = np.cumsum(sizes)
+    mid = 0.5 * (ends - sizes + 1 + ends)
+    return mid[codes]
 
 
 def _classical_spearman(x, y) -> float:
     """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
-    rx = _midranks(np.asarray(x, dtype=float))
-    ry = _midranks(np.asarray(y, dtype=float))
+    rx = _midranks(x)
+    ry = _midranks(y)
     if rx.std() == 0.0 or ry.std() == 0.0:
         raise DegenerateError("constant column has no rank correlation")
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    if x.std() == 0.0 or y.std() == 0.0:
+        raise DegenerateError("constant column has no correlation")
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+#: The six-estimator family, in report order.  Each entry reads two
+#: ScoreVectors and their pair count ``cc``, which the counting ones take.
+ESTIMATORS = {
+    "pearson": lambda x, y, cc: _pearson(x.values, y.values),
+    "spearman": lambda x, y, cc: _classical_spearman(x, y),
+    "kemeny-rho": lambda x, y, cc: spearman_rho(x, y),
+    "kemeny-tau": lambda x, y, cc: cc.net_concordance / cc.pair_count,
+    "kendall-b": lambda x, y, cc: _tau_b(cc),
+    "arcsine-r": lambda x, y, cc: arcsine_r(x, y),
+}
 
 
 _NORMAL = statistics.NormalDist()
@@ -213,19 +232,12 @@ def _replicate(
     """One replication; returns the estimator tuple for this experiment."""
     for attempt in range(64):
         rng = np.random.default_rng((seed, n, rep, attempt))
-        x, y = _draw_pair(rng, n, population, rho, levels, resample)
-        if np.unique(x).size < 2 or np.unique(y).size < 2:
+        x, y = map(ScoreVector, _draw_pair(rng, n, population, rho, levels, resample))
+        if x.ranks[1].size < 2 or y.ranks[1].size < 2:
             continue  # degenerate draw; deterministic retry stream
-        if experiment == "table_correlations":
-            return (
-                float(np.corrcoef(x, y)[0, 1]),
-                _classical_spearman(x, y),
-                spearman_rho(x, y),
-                kemeny_tau(x, y),
-                kendall_tau_b(x, y),
-                arcsine_r(x, y),
-            )
         counts = pair_stats(x, y)
+        if experiment == "table_correlations":
+            return tuple(float(f(x, y, counts)) for f in ESTIMATORS.values())
         s = counts.net_concordance
         if experiment == "table1":
             return (float(s),)
@@ -244,9 +256,7 @@ def _replicate(
 
 
 _ROW_LABELS: dict[str, tuple[str, ...]] = {
-    "table_correlations": (
-        "pearson", "spearman", "kemeny_rho", "kemeny_tau", "kendall_b", "arcsine_r",
-    ),
+    "table_correlations": tuple(name.replace("-", "_") for name in ESTIMATORS),
     "table1": ("net_concordance",),
     "table3": ("z_kendall_b", "z_kemeny"),
     "table5": ("z_spearman",),

@@ -290,6 +290,16 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert err.startswith("numeric error: " + message)
 
+    def test_one_column_without_y_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a\n1\n2\n3\n")
+        for command in ("correlate", "test"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("data error: ") and "'a'" in err and "--y" in err
+        code, _, _ = run_cli(capsys, "test", str(path), "--y", "a")
+        assert code == 0
+
     def test_null_table_over_budget_is_numeric_error(self, capsys, tmp_path, monkeypatch):
         rng = np.random.default_rng(400)
         rows = "\n".join(f"{a},{b}" for a, b in rng.integers(1, 6, size=(400, 2)))

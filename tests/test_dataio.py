@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -148,8 +149,11 @@ class TestColumnarIngest:
             ("u,v\n1,2\nnan,4\n", "line 3, column 'u': missing values are not supported"),
             ("u,v\n1,2\n3,-nan\n", "line 3, column 'v': missing values are not supported"),
             ('u,v\n"1,5",2\n3,4\n', "line 2, column 'u': not a number: '1,5'"),
+            ("u" * 140_001 + ",v\n1,2\n3,4\n", "line 1: field larger than field limit (131072)"),
+            ('u,v\n"1",2\n3,' + "4" * 140_001 + "\n", "line 3: field larger than field limit (131072)"),
         ],
-        ids=["not-a-number", "ragged", "width", "one-row", "nan", "signed-nan", "quoted-comma"],
+        ids=["not-a-number", "ragged", "width", "one-row", "nan", "signed-nan", "quoted-comma",
+             "oversized-header", "oversized-cell"],
     )
     def test_fallback_reports_the_loop_error(self, tmp_path, text, message):
         path = write(tmp_path, text)
@@ -178,6 +182,23 @@ class TestColumnarIngest:
             assert not pipe.seekable()
             dm = load_csv(pipe)
         assert np.array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_oversized_cell_from_a_pipe_is_a_data_error(self):
+        read_fd, write_fd = os.pipe()
+
+        def feed():  # the text outgrows the pipe's buffer, so it is written alongside the read
+            with os.fdopen(write_fd, "w") as sink:
+                sink.write("a,b\n1," + "2" * 140_001 + "\n3,4\n")
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with os.fdopen(read_fd, newline="") as pipe:
+                with pytest.raises(DataError, match=r"^line 2: field larger than field limit"):
+                    load_csv(pipe)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
 
     def test_stream_fallback_starts_where_the_caller_left_it(self):
         stream = io.StringIO("ignored line\na,b\n1_0,2\n3,4\n")

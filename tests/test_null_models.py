@@ -310,9 +310,10 @@ class TestZKemeny:
         z0 = res.details["net_concordance"] / math.sqrt(float(nm.population_variance(12)))
         assert res.p_one_sided == pytest.approx(ss.norm.sf(z0), rel=1e-12)
 
-    def test_exact_limit_switches_to_normal(self):
+    def test_exact_limit_switches_to_normal(self, monkeypatch):
+        monkeypatch.setattr(nm, "EXACT_LIMIT", 5)
         x = np.arange(10.0)
-        res = nm.z_kemeny(x, x, exact_limit=5)
+        res = nm.z_kemeny(x, x)
         assert res.null == "normal"
 
     def test_exact_null_needs_n_at_least_three(self):

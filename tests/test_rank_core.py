@@ -19,10 +19,13 @@ from hypothesis import strategies as st
 from kemeny_stat import (
     SCALE,
     DataError,
+    DataMatrix,
     DegenerateError,
     DomainError,
+    RankVector,
     ScoreVector,
     arcsine_r,
+    correlation_matrix,
     greiner_sin,
     kemeny_distance_affine,
     kemeny_distance_exact,
@@ -34,8 +37,11 @@ from kemeny_stat import (
     rank_vector,
     spearman_rho,
     spearman_distance,
+    z_kemeny,
+    z_kendall_b,
+    z_spearman,
 )
-from kemeny_stat import rank_core
+from kemeny_stat import cli, rank_core, simulate
 from kemeny_stat.rank_core import tie_block_sizes
 
 from conftest import fuzz_pair
@@ -416,6 +422,108 @@ class TestTieBlocks:
     def test_sizes(self):
         assert sorted(tie_block_sizes([3, 1, 3, 3, 1]).tolist()) == [2, 3]
         assert tie_block_sizes([1, 2, 3]).tolist() == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# one ranking per column
+# ---------------------------------------------------------------------------
+
+
+def _bits(result):
+    """A bit-exact image of a result: floats by their hex form, arrays by bytes."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.tobytes()
+    if isinstance(result, RankVector):
+        return _bits(result.counts)
+    if hasattr(result, "as_dict"):
+        return _bits(result.as_dict())
+    if isinstance(result, dict):
+        return {key: _bits(value) for key, value in result.items()}
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except DegenerateError as exc:
+        return repr(exc)
+
+
+PAIR_FUNCTIONS = (
+    pair_stats, kemeny_distance_affine, kemeny_distance_exact, kemeny_tau, spearman_rho,
+    spearman_distance, arcsine_r, kendall_tau_b, z_kemeny, z_kendall_b, z_spearman,
+)
+
+
+@pytest.mark.parametrize(
+    "fn", PAIR_FUNCTIONS + (kemeny_variance, tie_block_sizes, rank_vector),
+    ids=lambda fn: fn.__name__,
+)
+def test_prebuilt_vectors_match_raw_arrays(fn):
+    """ScoreVectors, ranked before or after the caller's arrays change, give
+    bit for bit what the raw arrays give."""
+    rng = np.random.default_rng(61)
+    pairs = [fuzz_pair(rng, n_lo=3) for _ in range(40)]
+    pairs += [(np.ones(5), np.arange(5.0)), (np.array([-0.0, 0.0, INF, -INF]), np.arange(4.0))]
+    for x, y in pairs:
+        args = [np.array(x, dtype=float), np.array(y, dtype=float)]
+        if fn not in PAIR_FUNCTIONS:
+            args = args[:1]
+        raw = _outcome(fn, *[a.copy() for a in args])
+        early = [ScoreVector(a) for a in args]
+        before = _outcome(fn, *early)  # ranks cached from the arrays as they were
+        late = [ScoreVector(a) for a in args]
+        for a in args:
+            a *= -1.0  # reverses the order of the caller's arrays in place
+        assert before == raw
+        assert _outcome(fn, *early) == raw
+        assert _outcome(fn, *late) == raw
+
+
+class TestRankEachColumnOnce:
+    """Calls of rank_core._dense, the one place values are ranked."""
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        calls = []
+        dense = rank_core._dense
+
+        def counted(v):
+            calls.append(v.size)
+            return dense(v)
+
+        monkeypatch.setattr(rank_core, "_dense", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "method, count",
+        [("kemeny_tau", 21), ("kendall_b", 21), ("spearman", 6), ("arcsine_r", 6)],
+    )
+    def test_correlation_matrix(self, rankings, method, count):
+        # 6 columns once each, plus the joint codes of each of 15 counted pairs
+        data = DataMatrix(np.random.default_rng(67).integers(1, 6, (300, 6)).astype(float))
+        correlation_matrix(data, method)
+        assert len(rankings) == count
+
+    def test_table_correlations_replicate(self, rankings):
+        row = simulate._replicate(
+            "table_correlations", 30, 0, 11, "discretized_normal", 0.0, None, None
+        )
+        assert len(row) == 6
+        assert len(rankings) == 3
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(("correlate",), 3), (("test", "--method", "kendall-b"), 4)],
+        ids=["correlate", "test-kendall-b"],
+    )
+    def test_cli(self, rankings, tmp_path, capsys, argv, count):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + "".join(f"{i % 4},{i % 5}\n" for i in range(40)))
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+        assert len(rankings) == count
 
 
 # ---------------------------------------------------------------------------
