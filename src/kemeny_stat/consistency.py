@@ -4,28 +4,20 @@ Every quantity with more than one independent source gets a row comparing
 the sources side by side.  Disagreements are documented with a flag and a
 note -- never patched, reconciled, or failed on.  The report also lists the
 desk-scale substitutions made where the original data or replication scale
-is out of reach.
+is out of reach.  The fitted and transcribed formulas it audits live here,
+off the runtime path of :mod:`kemeny_stat.null_models`.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
 from .enum_oracle import MAX_ENUM_N, exact_moments
-from .null_models import (
-    alpha_of_n,
-    beta_binomial_variance,
-    implied_std_kurtosis,
-    kurtosis_poly,
-    null_table,
-    population_variance,
-    power_kernel_fourth_moment,
-    riffled_moments,
-    riffled_variance_mixture,
-    spearman_kurtosis_poly,
-    variance_poly,
-)
+from .errors import DomainError
+from .null_models import alpha_of_n, implied_std_kurtosis, null_table, population_variance
 from .reference import (
     NULL_EXCESS_KURTOSIS_BY_N,
     NULL_STD_BY_N,
@@ -36,6 +28,144 @@ from .reference import (
 __all__ = ["consistency_report", "render_text"]
 
 _AGREE_TOL = 5e-3
+
+
+# --------------------------------------------------------------------------
+# audited formulas: fitted curves and transcribed displays that no null or
+# z test reads, kept for the report rows below
+
+def variance_poly(n: int | float) -> float:
+    """Cubic fit to the null variance, valid for n >= 9 only."""
+    if n < 9:
+        raise DomainError("variance polynomial is fitted for n >= 9")
+    return 11.82 - 2.31825 * n + 0.207355 * n**2 + 0.110824 * n**3
+
+
+def kurtosis_poly(n: int | float) -> float:
+    """Exponential fit to the (negative) excess kurtosis, for n >= 9 only."""
+    if n < 9:
+        raise DomainError("kurtosis fit is valid for n >= 9")
+    return -math.exp(0.0002939 * n**2 - 0.05537 * n - 1.149)
+
+
+def beta_binomial_variance(trials: int, shape: Fraction | float) -> Fraction:
+    """Variance of a symmetric beta-binomial(N, a, a): N(N + 2a) / (4(2a + 1))."""
+    n_tr = Fraction(trials)
+    a = Fraction(shape) if not isinstance(shape, Fraction) else shape
+    return n_tr * (n_tr + 2 * a) / (4 * (2 * a + 1))
+
+
+@dataclass(frozen=True)
+class RiffledMoments:
+    """Central moments of the two-component tied/untied distance mixture."""
+
+    mu2: float
+    mu3: float
+    mu4: float
+
+
+def riffled_moments(m: int, alpha1: float, alpha2: float, weight: float = 0.5) -> RiffledMoments:
+    """Central moments of the riffled mixture on support [0, 2m].
+
+    ``m`` is the pair count n(n-1)/2, ``alpha1``/``alpha2`` the shapes of
+    the even/odd components and ``weight`` the mixing weight.  Transcribed
+    form; the consistency report compares it against the enumeration
+    moments and the closed-form variance, and the disagreements it finds
+    are tabulated there rather than patched here.
+    """
+    if weight < 0 or weight > 1:
+        raise DomainError("mixture weight must lie in [0, 1]")
+    a1, a2, w = float(alpha1), float(alpha2), float(weight)
+    mu2 = (
+        1.0
+        / ((1.0 + 2.0 * a1) * (1.0 + 2.0 * a2))
+        * (
+            1.0
+            - 2.0 * m
+            + m**2
+            - w
+            + 2.0 * m * w
+            + 2.0 * a2 * (-1.0 + m + w - m * w + m**2 * w)
+            - 2.0
+            * a1
+            * (
+                -1.0
+                + m * (2.0 - 3.0 * w)
+                + m**2 * (w - 1.0)
+                + w
+                - 2.0 * a2 * (w + m - 1.0)
+            )
+        )
+    )
+    mu4 = (
+        5.0
+        - 8.0 * m
+        + 3.0 * m**2
+        - 5.0 * w
+        + 6.0 * m * w
+        + (m - 1.0) * m * w * (2.0 + 3.0 * (m - 1.0)) / (2.0 + 4.0 * a1)
+        - 3.0 * m * w * (m - 3.0) * (m - 2.0) * (m - 1.0) / (6.0 + 4.0 * a1)
+        - m * (m - 2.0) * (m - 1.0) * (8.0 + 3.0 * (m - 3.0)) * (w - 1.0) / (2.0 + a2)
+        + 3.0 * (w - 1.0) * (m - 1.0) * (m - 2.0) * (m - 3.0) * (m - 4.0) / (6.0 + a2)
+    )
+    return RiffledMoments(mu2=mu2, mu3=0.0, mu4=mu4)
+
+
+def riffled_variance_mixture(m: int, alpha1: float, alpha2: float) -> float:
+    """Equal-weight variance of the mixture in closed form.
+
+    (1/2)(m(m-1)/(1+2a1) + (m-1)(m-2)/(1+2a2) + 2m - 1); agrees with
+    ``riffled_moments(m, a1, a2, 0.5).mu2``.
+    """
+    a1, a2 = float(alpha1), float(alpha2)
+    return 0.5 * (
+        m * (m - 1.0) / (1.0 + 2.0 * a1)
+        + (m - 1.0) * (m - 2.0) / (1.0 + 2.0 * a2)
+        + 2.0 * m
+        - 1.0
+    )
+
+
+def power_kernel_std_kurtosis(m: int, alpha: float) -> float:
+    """Standardised kurtosis of the single-shape kernel on [0, 2m]."""
+    a = float(alpha)
+    num = 2.0 * (1.0 + a) * (
+        3.0
+        + 6.0 * (m - 1.0) * m * (2.0 + m * (m - 1.0))
+        + 4.0 * a * (-4.0 + m * (11.0 + m * (6.0 * m - 11.0)))
+        + 4.0 * a**2 * (5.0 + 2.0 * m * (3.0 * m - 5.0))
+    )
+    den = (3.0 + 2.0 * a) * (1.0 - 2.0 * a + 2.0 * m * (2.0 * a + m - 1.0)) ** 2
+    return num / den
+
+
+def power_kernel_fourth_moment(n: int, alpha: float) -> float:
+    """Fourth-moment display in terms of n with m = (n^2 - n)/2 substituted.
+
+    Transcribed as written; numerically this equals four times
+    :func:`power_kernel_std_kurtosis` at m = (n^2 - n)/2, which the
+    consistency report flags against the enumeration fourth moment.
+    """
+    a = float(alpha)
+    t = float(n**2 - n)
+    num = 2.0 * (a + 1.0) * (
+        4.0 * a**2 * (t * (1.5 * t - 5.0) + 5.0)
+        + 4.0 * a * (0.5 * t * (0.5 * t * (3.0 * t - 11.0) + 11.0) - 4.0)
+        + 3.0 * t * (0.5 * t - 1.0) * (0.5 * t * (0.5 * t - 1.0) + 2.0)
+        + 3.0
+    )
+    den = 0.5 * ((2.0 * a + 3.0) * (-2.0 * a + t * (2.0 * a + 0.5 * t - 1.0) + 1.0) ** 2)
+    return 2.0 * num / den
+
+
+def spearman_kurtosis_poly(n: int | float) -> float:
+    """Cubic fit to the midrank-correlation null kurtosis as a function of n.
+
+    Exceeds the Gaussian bound 3 for n above ~19, so the exact tabulated
+    values are preferred wherever they exist; the fit is kept only so the
+    consistency report can show how far it drifts from the table.
+    """
+    return -0.7561593 + 1.1482686 * n - 0.1240335 * n**2 + 0.0044051 * n**3
 
 
 def _row(quantity: str, n: int | None = None, *, note: str = "", **values) -> dict:

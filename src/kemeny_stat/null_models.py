@@ -7,7 +7,8 @@ shape that a two-parameter power kernel (q^2 - s^2)^alpha captures on the
 integer lattice |s| <= m.  This module builds that lattice null, the
 matching continuous kernel for the midrank correlation, and the z tests
 that consume them.  Everything here is closed-form or quadrature; the
-enumeration cross-checks live in tests and in the consistency report.
+transcribed and fitted formulas the report audits, and the enumeration
+cross-checks, live in tests and in :mod:`kemeny_stat.consistency`.
 """
 
 from __future__ import annotations
@@ -27,19 +28,10 @@ from .reference import SPEARMAN_STD_KURTOSIS_BY_N
 
 __all__ = [
     "population_variance",
-    "variance_poly",
-    "kurtosis_poly",
     "alpha_of_n",
     "alpha_from_kurtosis",
     "implied_std_kurtosis",
     "q_from_moments",
-    "beta_binomial_variance",
-    "RiffledMoments",
-    "riffled_moments",
-    "riffled_variance_mixture",
-    "power_kernel_std_kurtosis",
-    "power_kernel_fourth_moment",
-    "spearman_kurtosis_poly",
     "NullTable",
     "null_table",
     "SpearmanNull",
@@ -57,7 +49,8 @@ __all__ = [
 EXACT_LIMIT: int = 350
 
 #: Largest lattice :func:`null_table` builds, in support entries.  The build
-#: peaks at about 42 B per entry, so this is about 350 MB, reached near n = 2900.
+#: peaks at 16 B per entry (the support and the probabilities it keeps), so
+#: this is about 134 MB, reached near n = 2900.
 NULL_TABLE_MAX_ENTRIES: int = 1 << 23
 
 #: Midpoints of the quadrature grid in :func:`spearman_null`.
@@ -76,27 +69,13 @@ def population_variance(n: int) -> Fraction:
     return Fraction((n - 1) ** 2 * (n + 4) * (2 * n - 1), 18 * n)
 
 
-def variance_poly(n: int | float) -> float:
-    """Cubic fit to the null variance, valid for n >= 9 only."""
-    if n < 9:
-        raise DomainError("variance polynomial is fitted for n >= 9")
-    return 11.82 - 2.31825 * n + 0.207355 * n**2 + 0.110824 * n**3
-
-
-def kurtosis_poly(n: int | float) -> float:
-    """Exponential fit to the (negative) excess kurtosis, for n >= 9 only."""
-    if n < 9:
-        raise DomainError("kurtosis fit is valid for n >= 9")
-    return -math.exp(0.0002939 * n**2 - 0.05537 * n - 1.149)
-
-
 def alpha_of_n(n: int) -> Fraction:
     """Shape parameter of the lattice null at sample size n, exact.
 
     (n-1)(9n^3 - 4n^2 - 14n + 8) / (2(n-2)(4n^2 + 9n - 4)).  This is the
     unique symmetric beta-binomial shape on n^2 - n trials whose variance
     reproduces :func:`population_variance`; see
-    :func:`beta_binomial_variance`.
+    :func:`kemeny_stat.consistency.beta_binomial_variance`.
     """
     n = int(n)
     if n < 3:
@@ -139,126 +118,6 @@ def q_from_moments(mu2: float, mu4: float) -> float:
     return math.sqrt(2.0) * math.sqrt(mu2 * mu4 / gap)
 
 
-def beta_binomial_variance(trials: int, shape: Fraction | float) -> Fraction:
-    """Variance of a symmetric beta-binomial(N, a, a): N(N + 2a) / (4(2a + 1))."""
-    n_tr = Fraction(trials)
-    a = Fraction(shape) if not isinstance(shape, Fraction) else shape
-    return n_tr * (n_tr + 2 * a) / (4 * (2 * a + 1))
-
-
-@dataclass(frozen=True)
-class RiffledMoments:
-    """Central moments of the two-component tied/untied distance mixture."""
-
-    mu2: float
-    mu3: float
-    mu4: float
-
-
-def riffled_moments(m: int, alpha1: float, alpha2: float, weight: float = 0.5) -> RiffledMoments:
-    """Central moments of the riffled mixture on support [0, 2m].
-
-    ``m`` is the pair count n(n-1)/2, ``alpha1``/``alpha2`` the shapes of
-    the even/odd components and ``weight`` the mixing weight.  Transcribed
-    form; the consistency report compares it against the enumeration
-    moments and the closed-form variance, and the disagreements it finds
-    are tabulated there rather than patched here.
-    """
-    if weight < 0 or weight > 1:
-        raise DomainError("mixture weight must lie in [0, 1]")
-    a1, a2, w = float(alpha1), float(alpha2), float(weight)
-    mu2 = (
-        1.0
-        / ((1.0 + 2.0 * a1) * (1.0 + 2.0 * a2))
-        * (
-            1.0
-            - 2.0 * m
-            + m**2
-            - w
-            + 2.0 * m * w
-            + 2.0 * a2 * (-1.0 + m + w - m * w + m**2 * w)
-            - 2.0
-            * a1
-            * (
-                -1.0
-                + m * (2.0 - 3.0 * w)
-                + m**2 * (w - 1.0)
-                + w
-                - 2.0 * a2 * (w + m - 1.0)
-            )
-        )
-    )
-    mu4 = (
-        5.0
-        - 8.0 * m
-        + 3.0 * m**2
-        - 5.0 * w
-        + 6.0 * m * w
-        + (m - 1.0) * m * w * (2.0 + 3.0 * (m - 1.0)) / (2.0 + 4.0 * a1)
-        - 3.0 * m * w * (m - 3.0) * (m - 2.0) * (m - 1.0) / (6.0 + 4.0 * a1)
-        - m * (m - 2.0) * (m - 1.0) * (8.0 + 3.0 * (m - 3.0)) * (w - 1.0) / (2.0 + a2)
-        + 3.0 * (w - 1.0) * (m - 1.0) * (m - 2.0) * (m - 3.0) * (m - 4.0) / (6.0 + a2)
-    )
-    return RiffledMoments(mu2=mu2, mu3=0.0, mu4=mu4)
-
-
-def riffled_variance_mixture(m: int, alpha1: float, alpha2: float) -> float:
-    """Equal-weight variance of the mixture in closed form.
-
-    (1/2)(m(m-1)/(1+2a1) + (m-1)(m-2)/(1+2a2) + 2m - 1); agrees with
-    ``riffled_moments(m, a1, a2, 0.5).mu2``.
-    """
-    a1, a2 = float(alpha1), float(alpha2)
-    return 0.5 * (
-        m * (m - 1.0) / (1.0 + 2.0 * a1)
-        + (m - 1.0) * (m - 2.0) / (1.0 + 2.0 * a2)
-        + 2.0 * m
-        - 1.0
-    )
-
-
-def power_kernel_std_kurtosis(m: int, alpha: float) -> float:
-    """Standardised kurtosis of the single-shape kernel on [0, 2m]."""
-    a = float(alpha)
-    num = 2.0 * (1.0 + a) * (
-        3.0
-        + 6.0 * (m - 1.0) * m * (2.0 + m * (m - 1.0))
-        + 4.0 * a * (-4.0 + m * (11.0 + m * (6.0 * m - 11.0)))
-        + 4.0 * a**2 * (5.0 + 2.0 * m * (3.0 * m - 5.0))
-    )
-    den = (3.0 + 2.0 * a) * (1.0 - 2.0 * a + 2.0 * m * (2.0 * a + m - 1.0)) ** 2
-    return num / den
-
-
-def power_kernel_fourth_moment(n: int, alpha: float) -> float:
-    """Fourth-moment display in terms of n with m = (n^2 - n)/2 substituted.
-
-    Transcribed as written; numerically this equals four times
-    :func:`power_kernel_std_kurtosis` at m = (n^2 - n)/2, which the
-    consistency report flags against the enumeration fourth moment.
-    """
-    a = float(alpha)
-    t = float(n**2 - n)
-    num = 2.0 * (a + 1.0) * (
-        4.0 * a**2 * (t * (1.5 * t - 5.0) + 5.0)
-        + 4.0 * a * (0.5 * t * (0.5 * t * (3.0 * t - 11.0) + 11.0) - 4.0)
-        + 3.0 * t * (0.5 * t - 1.0) * (0.5 * t * (0.5 * t - 1.0) + 2.0)
-        + 3.0
-    )
-    den = 0.5 * ((2.0 * a + 3.0) * (-2.0 * a + t * (2.0 * a + 0.5 * t - 1.0) + 1.0) ** 2)
-    return 2.0 * num / den
-
-
-def spearman_kurtosis_poly(n: int | float) -> float:
-    """Cubic fit to the midrank-correlation null kurtosis as a function of n.
-
-    Exceeds the Gaussian bound 3 for n above ~19, so the exact tabulated
-    values are preferred wherever they exist; the fit is kept only so the
-    consistency report can show how far it drifts from the table.
-    """
-    return -0.7561593 + 1.1482686 * n - 0.1240335 * n**2 + 0.0044051 * n**3
-
-
 def _normal_upper(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -268,8 +127,8 @@ class NullTable:
     """Exact lattice null for the centred concordance count at sample size n.
 
     Probabilities follow (q^2 - s^2)^alpha on the integers |s| <= min(m,
-    floor(q)), built in log space, mirrored for exact symmetry and
-    renormalised.  ``support`` is ascending.
+    floor(q)), built in log space and renormalised; exactly symmetric, since
+    s^2 is exact.  ``support`` is ascending.
     """
 
     n: int
@@ -351,7 +210,8 @@ class NullTable:
         )
 
 
-@functools.lru_cache(maxsize=128)
+# eight tables at the entry budget keep about 1.1 GB
+@functools.lru_cache(maxsize=8)
 def null_table(n: int) -> NullTable:
     """Build (and cache) the lattice null for sample size n >= 3.
 
@@ -373,14 +233,18 @@ def null_table(n: int) -> NullTable:
             f"exact null for n={n} needs {entries} support entries, over the "
             f"budget of {NULL_TABLE_MAX_ENTRIES}; use the normal null (--null normal)"
         )
-    half = np.arange(0, smax + 1, dtype=np.int64)
-    logw = alpha * np.log(q * q - half.astype(float) ** 2)
-    support = np.concatenate([-half[:0:-1], half])
-    logw_full = np.concatenate([logw[:0:-1], logw])
-    peak = logw_full.max()
-    weights = np.exp(logw_full - peak)
-    probabilities = weights / weights.sum()
-    return NullTable(n=n, alpha=alpha, q=q, support=support, probabilities=probabilities)
+    support = np.arange(-smax, smax + 1, dtype=np.int64)
+    # one buffer, updated in place; s^2 is exact, so p[i] == p[-1 - i]
+    # bit for bit
+    p = support.astype(float)
+    p *= p
+    np.subtract(q * q, p, out=p)
+    np.log(p, out=p)
+    p *= alpha
+    p -= p.max()
+    np.exp(p, out=p)
+    p /= p.sum()
+    return NullTable(n=n, alpha=alpha, q=q, support=support, probabilities=p)
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,13 @@ SCALE: float = math.sqrt(0.5)
 PAIRWISE_MAX_N: int = 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
     """A vector of n >= 2 observations on the extended real line.
 
     Ties are meaningful, +-inf are legal values, NaN is refused because it
-    breaks the trichotomy every pair score relies on.
+    breaks the trichotomy every pair score relies on.  Vectors compare and
+    hash by identity.
     """
 
     values: np.ndarray

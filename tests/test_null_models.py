@@ -5,8 +5,10 @@ exact enumeration oracle, or pinned from an independent probe run before
 these tests were written.
 """
 
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,15 @@ from scipy import stats as ss
 
 from kemeny_stat import enum_oracle
 from kemeny_stat import null_models as nm
+from kemeny_stat.consistency import (
+    beta_binomial_variance,
+    kurtosis_poly,
+    power_kernel_fourth_moment,
+    power_kernel_std_kurtosis,
+    riffled_moments,
+    riffled_variance_mixture,
+    variance_poly,
+)
 from kemeny_stat.errors import DegenerateError, DomainError
 from kemeny_stat.reference import (
     NULL_EXCESS_KURTOSIS_BY_N,
@@ -57,33 +68,33 @@ class TestPopulationVariance:
 
 class TestFittedPolynomials:
     def test_variance_poly_frozen_value(self):
-        assert nm.variance_poly(10) == pytest.approx(120.197, abs=1e-9)
+        assert variance_poly(10) == pytest.approx(120.197, abs=1e-9)
 
     def test_variance_poly_tracks_exact_form(self):
         # fitted curve and the exact rational agree to ~0.1% at n = 30
         exact = float(nm.population_variance(30))
-        assert nm.variance_poly(30) == pytest.approx(exact, rel=5e-3)
+        assert variance_poly(30) == pytest.approx(exact, rel=5e-3)
 
     def test_variance_poly_domain(self):
         with pytest.raises(DomainError):
-            nm.variance_poly(8)
+            variance_poly(8)
 
     def test_kurtosis_poly_frozen_value(self):
-        assert nm.kurtosis_poly(10) == pytest.approx(-0.187625, abs=1e-6)
+        assert kurtosis_poly(10) == pytest.approx(-0.187625, abs=1e-6)
 
     def test_kurtosis_poly_near_tabulated_mid_range(self):
-        assert nm.kurtosis_poly(15) == pytest.approx(-0.148, abs=5e-3)
+        assert kurtosis_poly(15) == pytest.approx(-0.148, abs=5e-3)
 
     def test_kurtosis_poly_negative_and_shrinking(self):
         # the quadratic exponent turns around near n ~ 94, so the fit only
         # decays monotonically below that point
-        vals = [nm.kurtosis_poly(n) for n in range(9, 91)]
+        vals = [kurtosis_poly(n) for n in range(9, 91)]
         assert all(v < 0 for v in vals)
         assert all(abs(b) < abs(a) for a, b in zip(vals, vals[1:]))
 
     def test_kurtosis_poly_domain(self):
         with pytest.raises(DomainError):
-            nm.kurtosis_poly(5)
+            kurtosis_poly(5)
 
 
 class TestShapeParameter:
@@ -99,7 +110,7 @@ class TestShapeParameter:
     def test_alpha_variance_matches_population_exactly(self, n):
         # the shape is precisely the symmetric beta-binomial solution on
         # n^2 - n trials for the closed-form variance
-        got = nm.beta_binomial_variance(n * n - n, nm.alpha_of_n(n))
+        got = beta_binomial_variance(n * n - n, nm.alpha_of_n(n))
         assert got == nm.population_variance(n)
 
     def test_alpha_from_kurtosis_frozen(self):
@@ -140,14 +151,14 @@ class TestSupportWidth:
 
 class TestRiffledMoments:
     def test_frozen_small_case(self):
-        got = nm.riffled_moments(3, 1.0, 1.0, 0.5)
+        got = riffled_moments(3, 1.0, 1.0, 0.5)
         assert got.mu2 == pytest.approx(34.5 / 9.0)
         assert got.mu3 == 0.0
 
     @pytest.mark.parametrize("m,alpha", [(3, 0.5), (6, 1.0), (10, 2.5), (45, 4.0)])
     def test_equal_weight_variance_agrees_with_closed_form(self, m, alpha):
-        mix = nm.riffled_moments(m, alpha, alpha, 0.5)
-        closed = nm.riffled_variance_mixture(m, alpha, alpha)
+        mix = riffled_moments(m, alpha, alpha, 0.5)
+        closed = riffled_variance_mixture(m, alpha, alpha)
         assert mix.mu2 == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("n,alpha", [(3, 2.0), (5, 3.0), (8, 1.5)])
@@ -155,13 +166,13 @@ class TestRiffledMoments:
         # the n-substituted fourth-moment expression reduces to exactly four
         # times the standardised-kurtosis expression at m = (n^2 - n) / 2
         m = (n * n - n) // 2
-        assert nm.power_kernel_fourth_moment(n, alpha) == pytest.approx(
-            4.0 * nm.power_kernel_std_kurtosis(m, alpha), rel=1e-12
+        assert power_kernel_fourth_moment(n, alpha) == pytest.approx(
+            4.0 * power_kernel_std_kurtosis(m, alpha), rel=1e-12
         )
 
     def test_weight_domain(self):
         with pytest.raises(DomainError):
-            nm.riffled_moments(3, 1.0, 1.0, 1.5)
+            riffled_moments(3, 1.0, 1.0, 1.5)
 
 
 class TestNullTable:
@@ -239,6 +250,34 @@ class TestNullTable:
     def test_needs_three_points(self):
         with pytest.raises(DomainError):
             nm.null_table(2)
+
+    # sha256 of support.tobytes() + probabilities.tobytes(), pinned from the
+    # two-half (mirrored) build
+    FROZEN_SHA256 = {
+        3: "1982e8ad0a17e3264957cf61fa38af487f1f8efabc8506d0cada6ea64ed21cbc",
+        15: "d5415b624e0b08e989af0d998380305d6c3313c298c01ae9614c7a0b9de503d8",
+        300: "b353da486cc41bd9cb2e25ebcc0e3e05d5c7fede047417375eb4e7b8829b271d",
+        2000: "8d867b349ecd643910b3f12b04d770fac6bcdd188ecba472f0a490f0fc37987a",
+    }
+
+    @pytest.mark.parametrize("n", sorted(FROZEN_SHA256))
+    def test_frozen_bytes(self, n):
+        # uncached, so the n = 2000 table does not stay cached for later tests
+        table = nm.null_table.__wrapped__(n)
+        blob = table.support.tobytes() + table.probabilities.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == self.FROZEN_SHA256[n]
+        assert np.array_equal(table.probabilities, table.probabilities[::-1])
+
+    def test_build_peak_memory_per_entry(self):
+        # the int64 support and float64 probabilities it returns are 16 B
+        # per entry; the build allocates nothing else of that size
+        tracemalloc.start()
+        try:
+            table = nm.null_table.__wrapped__(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * table.support.size
 
 
 class TestSpearmanKernel:

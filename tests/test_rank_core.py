@@ -76,6 +76,14 @@ class TestScoreVector:
         with pytest.raises(ValueError):
             v.values[0] = 5.0
 
+    def test_compares_and_hashes_by_identity(self):
+        # generated __eq__/__hash__ over the ndarray field would raise here
+        v, w = ScoreVector([1.0, 2.0, 3.0]), ScoreVector([1.0, 2.0, 3.0])
+        assert v == v and not v == w and v != w
+        assert hash(v) == hash(v)
+        assert v in [w, v]
+        assert len({v, w}) == 2
+
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
             pair_stats([1, 2, 3], [1, 2])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -77,6 +78,16 @@ class TestDeterminism:
         base = sim.default_config("table3", seed=12, replications=36, n_values=(20,))
         multi = sim.SimulationConfig(**{**base.canonical_dict(), "workers": 3})
         assert sim.run_simulation(base).to_json() == sim.run_simulation(multi).to_json()
+
+    def test_reports_frozen_across_refactors(self):
+        # every experiment at seed 11 and 300 replications, pinned byte for
+        # byte: a refactor that changes any number changes this digest
+        text = "".join(
+            sim.run_simulation(sim.default_config(e, seed=11, replications=300)).to_json()
+            for e in sim.EXPERIMENTS
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "364b2f8cfa6917fe8ad086df133fc37285a9feaaa29518421f7038300a31296e"
 
     def test_seed_matters(self):
         a = sim.run_simulation(sim.default_config("table1", seed=1, replications=20, n_values=(5,)))
