@@ -112,7 +112,7 @@ def _cmd_correlate(args) -> None:
     x, y, x_name, y_name = _load_xy(args)
     methods = list(ESTIMATORS) if args.method == "all" else [args.method]
     cc = pair_stats(x, y)
-    estimates = {name: float(ESTIMATORS[name](x, y, cc)) for name in methods}
+    estimates = {name: float(ESTIMATORS[name](x, y)) for name in methods}
     payload = {
         "columns": [x_name, y_name],
         "n": cc.n,
@@ -166,14 +166,13 @@ def _cmd_test(args) -> None:
     cc = pair_stats(x, y)
     # each method's z test, and the ESTIMATORS entry it reports as the estimate;
     # kendall-b has the normal null only, so its one test serves every --null
-    kendall_b = functools.cache(lambda: z_kendall_b(x, y))
     run, estimator = {
         "kemeny": (functools.partial(z_kemeny, x, y, scale=args.scale), "kemeny-tau"),
         "spearman": (functools.partial(z_spearman, x, y, as_ratio=args.ratio), "kemeny-rho"),
-        "kendall-b": (lambda null: kendall_b(), "kendall-b"),
+        "kendall-b": (lambda null: z_kendall_b(x, y), "kendall-b"),
     }[args.method]
     result = run(null=args.null)
-    estimate = ESTIMATORS[estimator](x, y, cc)
+    estimate = ESTIMATORS[estimator](x, y)
     # "auto" picks the exact null wherever one is defined and affordable
     # (kemeny: 3 <= n <= null_models.EXACT_LIMIT), so it alone decides the
     # exact column; past the limit only --null exact builds a lattice
@@ -356,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit JSON instead of text")
     common.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-    common.add_argument("--seed", type=int, metavar="INT",
-                        help="RNG seed (required by simulate)")
-    common.add_argument("--reps", type=int, metavar="INT",
-                        help="replication count override")
-    common.add_argument("--workers", type=int, metavar="INT",
-                        help="worker process count")
 
     columns = argparse.ArgumentParser(add_help=False)
     columns.add_argument("csv", help="CSV file with a header row")
@@ -414,6 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="deterministic Monte Carlo table reproduction")
+    p.add_argument("--seed", type=int, metavar="INT",
+                   help="RNG seed (required by simulate)")
+    p.add_argument("--reps", type=int, metavar="INT",
+                   help="replication count override")
+    p.add_argument("--workers", type=int, metavar="INT",
+                   help="worker process count")
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--n", type=int, nargs="+", metavar="INT",
                    help="vector lengths override")

@@ -215,24 +215,26 @@ class NullTable:
 def null_table(n: int) -> NullTable:
     """Build (and cache) the lattice null for sample size n >= 3.
 
-    Refuses, before allocating, a lattice of more than
-    :data:`NULL_TABLE_MAX_ENTRIES` support entries.
+    Refuses, before any float arithmetic or allocation, a lattice of more than
+    :data:`NULL_TABLE_MAX_ENTRIES` support entries.  The support is |s| <= m,
+    2m + 1 entries (q exceeds m at every n the budget admits), so the budget
+    is checked on that exact integer.
     """
     n = int(n)
     m = n * (n - 1) // 2
-    alpha = float(alpha_of_n(n))
+    alpha = alpha_of_n(n)  # raises below n = 3
+    if 2 * m + 1 > NULL_TABLE_MAX_ENTRIES:
+        raise DomainError(
+            f"exact null for n={n} needs {2 * m + 1} support entries, over the "
+            f"budget of {NULL_TABLE_MAX_ENTRIES}; use the normal null (--null normal)"
+        )
+    alpha = float(alpha)
     mu2 = float(population_variance(n))
     kurt = implied_std_kurtosis(alpha)
     q = q_from_moments(mu2, kurt * mu2 * mu2)
     smax = min(m, int(math.floor(q)))
     while smax > 0 and q * q - smax * smax <= 0.0:
         smax -= 1
-    entries = 2 * smax + 1
-    if entries > NULL_TABLE_MAX_ENTRIES:
-        raise DomainError(
-            f"exact null for n={n} needs {entries} support entries, over the "
-            f"budget of {NULL_TABLE_MAX_ENTRIES}; use the normal null (--null normal)"
-        )
     support = np.arange(-smax, smax + 1, dtype=np.int64)
     # one buffer, updated in place; s^2 is exact, so p[i] == p[-1 - i]
     # bit for bit

@@ -26,14 +26,17 @@ Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
 rejected at construction.  Each vector is ranked once into dense codes and
 tie-block sizes; pair classification reads tie totals from block sizes and
 counts discordances as strict inversions of the y codes, one stable argsort
-per bit of the codes.  An O(n^2) sign-matrix reference implementation must
-agree with it exactly and the two are differentially tested.
+per bit of the codes.  Each pair of vectors is classified once, and its
+counts are kept while both vectors live.  An O(n^2) sign-matrix reference
+implementation must agree with it exactly and the two are differentially
+tested.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -313,6 +316,12 @@ def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     return ConcordanceCounts(vx.n, concordant, discordant, tied_x, tied_y, tied_pairs_both)
 
 
+#: Merge counts kept beside the column ranks: ``_COUNTS[x][y]`` is
+#: ``pair_stats(x, y)``.  Both levels hold their vectors weakly, so an entry
+#: lives exactly as long as x and y (immutable, so it cannot go stale).
+_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def pair_stats(
     x: ScoreVector | Iterable[float],
     y: ScoreVector | Iterable[float],
@@ -322,8 +331,10 @@ def pair_stats(
     """Classify all unordered pairs of (x, y) jointly.
 
     ``method="merge"`` is the default: dense codes plus a bit-wise inversion
-    count, O(n log n log k) for k distinct y values.  ``"quadratic"`` is the
-    O(n^2) reference kept for differential testing.  Both are exact.
+    count, O(n log n log k) for k distinct y values, taken once per pair of
+    :class:`ScoreVector` objects and kept while both live.  ``"quadratic"`` is
+    the O(n^2) reference kept for differential testing; it neither reads nor
+    stores the kept counts.  Both are exact.
     """
     vx = as_score_vector(x)
     vy = as_score_vector(y)
@@ -331,9 +342,15 @@ def pair_stats(
         raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
     if method == "quadratic":
         return _pair_stats_quadratic(vx.values, vy.values)
-    if method == "merge":
-        return _pair_stats_merge(vx, vy)
-    raise DomainError(f"unknown pair_stats method {method!r}")
+    if method != "merge":
+        raise DomainError(f"unknown pair_stats method {method!r}")
+    row = _COUNTS.get(vx)
+    if row is None:
+        row = _COUNTS[vx] = weakref.WeakKeyDictionary()
+    counts = row.get(vy)
+    if counts is None:
+        counts = row[vy] = _pair_stats_merge(vx, vy)
+    return counts
 
 
 # ----------------------------------------------------------------------------
@@ -482,11 +499,7 @@ def kendall_tau_b(
     The per-margin denominators are exactly the untied pair counts of x and y,
     so on tie-free data tau_b == tau_kappa.  Constant inputs raise.
     """
-    return _tau_b(pair_stats(x, y))
-
-
-def _tau_b(c: ConcordanceCounts) -> float:
-    """:func:`kendall_tau_b` from pair counts already taken."""
+    c = pair_stats(x, y)
     m = c.pair_count
     untied_x = m - c.tied_x - c.tied_both
     untied_y = m - c.tied_y - c.tied_both

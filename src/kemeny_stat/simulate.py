@@ -21,7 +21,15 @@ import numpy as np
 from . import __version__ as _version
 from .errors import DataError, DegenerateError
 from .null_models import _kendall_b_variance, population_variance
-from .rank_core import ScoreVector, _tau_b, arcsine_r, as_score_vector, pair_stats, spearman_rho
+from .rank_core import (
+    ScoreVector,
+    arcsine_r,
+    as_score_vector,
+    kemeny_tau,
+    kendall_tau_b,
+    pair_stats,
+    spearman_rho,
+)
 from .reference import (
     CORRELATION_SPREADS,
     NULL_DISTANCE_SUMMARIES,
@@ -174,14 +182,14 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 #: The six-estimator family, in report order.  Each entry reads two
-#: ScoreVectors and their pair count ``cc``, which the counting ones take.
+#: ScoreVectors; the counting ones share the pair's one count.
 ESTIMATORS = {
-    "pearson": lambda x, y, cc: _pearson(x.values, y.values),
-    "spearman": lambda x, y, cc: _classical_spearman(x, y),
-    "kemeny-rho": lambda x, y, cc: spearman_rho(x, y),
-    "kemeny-tau": lambda x, y, cc: cc.net_concordance / cc.pair_count,
-    "kendall-b": lambda x, y, cc: _tau_b(cc),
-    "arcsine-r": lambda x, y, cc: arcsine_r(x, y),
+    "pearson": lambda x, y: _pearson(x.values, y.values),
+    "spearman": _classical_spearman,
+    "kemeny-rho": spearman_rho,
+    "kemeny-tau": kemeny_tau,
+    "kendall-b": kendall_tau_b,
+    "arcsine-r": arcsine_r,
 }
 
 
@@ -235,10 +243,11 @@ def _replicate(
         x, y = map(ScoreVector, _draw_pair(rng, n, population, rho, levels, resample))
         if x.ranks[1].size < 2 or y.ranks[1].size < 2:
             continue  # degenerate draw; deterministic retry stream
-        counts = pair_stats(x, y)
         if experiment == "table_correlations":
-            return tuple(float(f(x, y, counts)) for f in ESTIMATORS.values())
-        s = counts.net_concordance
+            return tuple(float(f(x, y)) for f in ESTIMATORS.values())
+        if experiment == "table5":
+            return (spearman_rho(x, y) * math.sqrt(n - 1.0),)
+        s = pair_stats(x, y).net_concordance
         if experiment == "table1":
             return (float(s),)
         sigma0 = math.sqrt(float(population_variance(n)))
@@ -246,8 +255,6 @@ def _replicate(
             return (s / sigma0,)
         if experiment == "table3":
             return (s / math.sqrt(_kendall_b_variance(x, y)), s / sigma0)
-        if experiment == "table5":
-            return (spearman_rho(x, y) * math.sqrt(n - 1.0),)
         raise ValueError(f"unknown experiment {experiment!r}")
     raise DataError(
         f"population keeps producing constant columns at n={n}; "

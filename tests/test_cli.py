@@ -313,6 +313,24 @@ class TestExitCodes:
             assert err.startswith(f"numeric error: exact null for n={n} needs ")
             assert "--null normal" in err and "Traceback" not in err
 
+    # one n from each range where float math on n fails differently: the
+    # moment check, a NaN q, and an OverflowError in float(variance)
+    @pytest.mark.parametrize("exponent", [20, 60, 200])
+    def test_huge_nulls_is_refused_on_budget(self, capsys, exponent):
+        n = 10**exponent
+        code, out, err = run_cli(capsys, "nulls", str(n))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numeric error: exact null for n={n} needs {n * (n - 1) + 1} ")
+        assert "budget" in err and "Traceback" not in err
+
+    def test_simulate_flags_are_simulate_only(self, capsys):
+        code, out, err = run_cli(capsys, "nulls", "15", "--seed", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("kemeny-stat: error: unrecognized arguments: --seed 3")
+        for flag in ("--seed", "--reps", "--workers"):
+            code, _, err = run_cli(capsys, "correlate", "data.csv", flag, "2")
+            assert code == 1 and "unrecognized arguments" in err
+
     def test_enumerate_out_of_range_is_numeric_error(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "12")
         assert code == 3

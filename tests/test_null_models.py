@@ -251,6 +251,19 @@ class TestNullTable:
         with pytest.raises(DomainError):
             nm.null_table(2)
 
+    def test_budget_is_checked_on_the_exact_support(self):
+        # q > m wherever the budget admits a table, so the lattice is |s| <= m
+        # and its 2m + 1 entries decide the refusal before any float arithmetic
+        for n in range(3, 2898):
+            alpha = float(nm.alpha_of_n(n))
+            mu2 = float(nm.population_variance(n))
+            kurt = nm.implied_std_kurtosis(alpha)
+            assert nm.q_from_moments(mu2, kurt * mu2 * mu2) > n * (n - 1) // 2
+        assert nm.null_table(15).support.size == 2 * 105 + 1
+        assert 2 * (2896 * 2895 // 2) + 1 <= nm.NULL_TABLE_MAX_ENTRIES
+        with pytest.raises(DomainError, match="n=2897 needs 8389713 support entries"):
+            nm.null_table(2897)
+
     # sha256 of support.tobytes() + probabilities.tobytes(), pinned from the
     # two-half (mirrored) build
     FROZEN_SHA256 = {

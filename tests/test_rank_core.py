@@ -7,7 +7,10 @@ scipy's independent implementations before being frozen here.
 
 from __future__ import annotations
 
+import gc
 import math
+import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +44,7 @@ from kemeny_stat import (
     z_kendall_b,
     z_spearman,
 )
-from kemeny_stat import cli, rank_core, simulate
+from kemeny_stat import cli, null_models, rank_core, simulate
 from kemeny_stat.rank_core import tie_block_sizes
 
 from conftest import fuzz_pair
@@ -524,14 +527,96 @@ class TestRankEachColumnOnce:
 
     @pytest.mark.parametrize(
         "argv, count",
-        [(("correlate",), 3), (("test", "--method", "kendall-b"), 4)],
-        ids=["correlate", "test-kendall-b"],
+        [
+            (("correlate",), 3),
+            (("test", "--method", "kendall-b"), 3),
+            (("test", "--method", "kemeny"), 3),
+            (("test", "--method", "spearman", "--null", "normal"), 3),
+        ],
+        ids=["correlate", "test-kendall-b", "test-kemeny", "test-spearman-normal"],
     )
     def test_cli(self, rankings, tmp_path, capsys, argv, count):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n" + "".join(f"{i % 4},{i % 5}\n" for i in range(40)))
         assert cli.main([argv[0], str(path), *argv[1:]]) == 0
         assert len(rankings) == count
+
+
+class TestCountEachPairOnce:
+    """The merge count kept per pair of ScoreVectors while both live."""
+
+    def test_same_vectors_share_one_count(self):
+        rng = np.random.default_rng(71)
+        x, y = ScoreVector(rng.integers(0, 4, 50)), ScoreVector(rng.integers(0, 6, 50))
+        a = pair_stats(x, y)
+        assert pair_stats(x, y) is a
+        b = pair_stats(y, x)
+        assert b is not a and pair_stats(y, x) is b
+        assert (b.concordant, b.discordant, b.tied_both) == (
+            a.concordant, a.discordant, a.tied_both,
+        )
+        assert (b.tied_x, b.tied_y) == (a.tied_y, a.tied_x)
+
+    def test_entry_keeps_neither_vector_alive(self):
+        x, y = ScoreVector([1, 2, 2, 3]), ScoreVector([3, 1, 2, 2])
+        pair_stats(x, y)
+        pair_stats(y, x)
+        x_ref, y_ref = weakref.ref(x), weakref.ref(y)
+        del y
+        gc.collect()
+        assert y_ref() is None
+        assert len(rank_core._COUNTS[x]) == 0
+        del x
+        gc.collect()
+        assert x_ref() is None
+
+    def test_counted_vector_pickles(self):
+        x, y = ScoreVector([1, 2, 2, 3, INF]), ScoreVector([3, 1, 2, 2, 0])
+        counts = pair_stats(x, y)
+        x2, y2 = pickle.loads(pickle.dumps((x, y)))
+        assert np.array_equal(x2.values, x.values)
+        assert pair_stats(x2, y2) == counts and pair_stats(x2, y2) is not counts
+
+    def test_quadratic_neither_reads_nor_fills(self, monkeypatch):
+        x, y = ScoreVector([1, 2, 2, 3]), ScoreVector([3, 1, 2, 2])
+        quadratic = pair_stats(x, y, method="quadratic")
+        assert x not in rank_core._COUNTS
+        merge = pair_stats(x, y)
+        assert merge == quadratic and merge is not quadratic
+        runs = []
+        oracle = rank_core._pair_stats_quadratic
+        monkeypatch.setattr(
+            rank_core, "_pair_stats_quadratic", lambda *a: runs.append(1) or oracle(*a)
+        )
+        assert pair_stats(x, y, method="quadratic") is not merge
+        assert runs == [1]
+
+    @pytest.mark.parametrize("n", [40, 400])
+    @pytest.mark.parametrize(
+        "argv",
+        [("correlate",)] + [
+            ("test", "--method", method, "--null", null)
+            for method in ("kemeny", "kendall-b", "spearman")
+            for null in ("auto", "exact", "normal")
+        ],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    def test_cli_counts_once(self, monkeypatch, tmp_path, capsys, n, argv):
+        # n = 40 and n = 400 sit on either side of null_models.EXACT_LIMIT
+        assert 40 <= null_models.EXACT_LIMIT < 400
+        merges, rankings = [], []
+        merge, dense = rank_core._pair_stats_merge, rank_core._dense
+        monkeypatch.setattr(
+            rank_core, "_pair_stats_merge", lambda *a: merges.append(1) or merge(*a)
+        )
+        monkeypatch.setattr(rank_core, "_dense", lambda v: rankings.append(1) or dense(v))
+        rng = np.random.default_rng(n)
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rng.integers(1, 6, (n, 2))))
+        # the midrank kernel null is tabulated for n <= 19 only
+        refused = argv[-3:] == ("spearman", "--null", "exact")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == (3 if refused else 0)
+        assert (len(merges), len(rankings)) == (1, 3)
 
 
 # ---------------------------------------------------------------------------
