@@ -6,135 +6,105 @@ beta-binomial null models and z tests, exact small-n enumeration oracles over
 the tied-vector universe {1..n}^n, multivariate rank-correlation machinery,
 and a reproducible simulation harness with a formula-vs-oracle consistency
 report.
+
+Submodules load on first use (PEP 562): ``import kemeny_stat`` loads none of
+them, and ``kemeny_stat.null_table`` imports ``null_models`` the first time it
+is read.  A resolved name is looked up in its home module on every access and
+never stored here, so rebinding the home module's attribute (a tracer's
+wrapper, a test's monkeypatch) is seen through the package too.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DataError,
-    DecompositionError,
-    DegenerateError,
-    DomainError,
-    KemenyStatError,
-    NumericError,
-)
-from .rank_core import (
-    SCALE,
-    ConcordanceCounts,
-    PairSigns,
-    RankVector,
-    ScoreVector,
-    arcsine_r,
-    greiner_sin,
-    kemeny_distance_affine,
-    kemeny_distance_exact,
-    kemeny_tau,
-    kemeny_variance,
-    kendall_tau_b,
-    pair_signs,
-    pair_stats,
-    rank_vector,
-    spearman_rho,
-    spearman_distance,
-)
-from .null_models import (
-    NullTable,
-    SpearmanNull,
-    TestResult,
-    alpha_from_kurtosis,
-    alpha_of_n,
-    null_table,
-    population_variance,
-    q_from_moments,
-    spearman_null,
-    z_kendall_b,
-    z_kemeny,
-    z_spearman,
-)
-from .multivar import (
-    CORRELATION_METHODS,
-    DataMatrix,
-    HoeffdingResult,
-    LoadingsSolution,
-    RankCorrMatrix,
-    correlation_matrix,
-    full_log_likelihood,
-    hoeffding_h,
-    is_positive_definite,
-    loglik_kernel,
-    min_eigenvalue,
-    polychoric_loadings,
-    scale_to_covariance,
-    tetrachoric_from_table,
-)
-from .dataio import load_csv
-from .simulate import (
-    EXPERIMENTS,
-    SimulationConfig,
-    SimulationReport,
-    default_config,
-    run_simulation,
-)
-from .consistency import consistency_report, kurtosis_poly, variance_poly
+#: Each submodule and the public names the package takes from it.
+_EXPORTS = {
+    "errors": (
+        "KemenyStatError",
+        "DataError",
+        "NumericError",
+        "DomainError",
+        "DegenerateError",
+        "DecompositionError",
+    ),
+    "rank_core": (
+        "SCALE",
+        "ScoreVector",
+        "PairSigns",
+        "ConcordanceCounts",
+        "RankVector",
+        "pair_signs",
+        "pair_stats",
+        "kemeny_distance_affine",
+        "kemeny_distance_exact",
+        "kemeny_tau",
+        "kemeny_variance",
+        "rank_vector",
+        "spearman_rho",
+        "spearman_distance",
+        "arcsine_r",
+        "kendall_tau_b",
+        "greiner_sin",
+    ),
+    "null_models": (
+        "population_variance",
+        "alpha_of_n",
+        "alpha_from_kurtosis",
+        "q_from_moments",
+        "NullTable",
+        "null_table",
+        "SpearmanNull",
+        "spearman_null",
+        "TestResult",
+        "z_kemeny",
+        "z_kendall_b",
+        "z_spearman",
+    ),
+    "consistency": ("variance_poly", "kurtosis_poly", "consistency_report"),
+    "multivar": (
+        "DataMatrix",
+        "CORRELATION_METHODS",
+        "RankCorrMatrix",
+        "correlation_matrix",
+        "scale_to_covariance",
+        "min_eigenvalue",
+        "is_positive_definite",
+        "loglik_kernel",
+        "full_log_likelihood",
+        "LoadingsSolution",
+        "polychoric_loadings",
+        "tetrachoric_from_table",
+        "HoeffdingResult",
+        "hoeffding_h",
+    ),
+    "dataio": ("load_csv",),
+    "simulate": (
+        "EXPERIMENTS",
+        "SimulationConfig",
+        "SimulationReport",
+        "default_config",
+        "run_simulation",
+    ),
+    "enum_oracle": (),
+    "reference": (),
+    "cli": (),
+}
 
-__all__ = [
-    "__version__",
-    "KemenyStatError",
-    "DataError",
-    "NumericError",
-    "DomainError",
-    "DegenerateError",
-    "DecompositionError",
-    "SCALE",
-    "ScoreVector",
-    "PairSigns",
-    "ConcordanceCounts",
-    "RankVector",
-    "pair_signs",
-    "pair_stats",
-    "kemeny_distance_affine",
-    "kemeny_distance_exact",
-    "kemeny_tau",
-    "kemeny_variance",
-    "rank_vector",
-    "spearman_rho",
-    "spearman_distance",
-    "arcsine_r",
-    "kendall_tau_b",
-    "greiner_sin",
-    "population_variance",
-    "variance_poly",
-    "kurtosis_poly",
-    "alpha_of_n",
-    "alpha_from_kurtosis",
-    "q_from_moments",
-    "NullTable",
-    "null_table",
-    "SpearmanNull",
-    "spearman_null",
-    "TestResult",
-    "z_kemeny",
-    "z_kendall_b",
-    "z_spearman",
-    "DataMatrix",
-    "CORRELATION_METHODS",
-    "RankCorrMatrix",
-    "correlation_matrix",
-    "scale_to_covariance",
-    "min_eigenvalue",
-    "is_positive_definite",
-    "loglik_kernel",
-    "full_log_likelihood",
-    "LoadingsSolution",
-    "polychoric_loadings",
-    "tetrachoric_from_table",
-    "HoeffdingResult",
-    "hoeffding_h",
-    "load_csv",
-    "EXPERIMENTS",
-    "SimulationConfig",
-    "SimulationReport",
-    "default_config",
-    "run_simulation",
-    "consistency_report",
-]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is not None:
+        return getattr(import_module(f"{__name__}.{home}"), name)
+    if name in _EXPORTS:
+        # importing binds the submodule here, so this runs once per submodule
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

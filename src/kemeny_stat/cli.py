@@ -11,31 +11,21 @@ Subcommands::
     consistency-report  closed forms vs fitted curves vs tables vs oracles
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric error.
+
+A command loads only the modules it runs: each ``_cmd_*`` imports what it
+calls, and each subcommand's parser adds its arguments (and imports the
+choice tables they list) the first time it parses, so ``--version``,
+``--help`` and ``enumerate`` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
 from . import __version__
-from .consistency import consistency_report
-from .consistency import render_text as _render_consistency
-from .dataio import load_csv
-from .enum_oracle import MAX_ENUM_N, exact_distance_distribution
 from .errors import DataError, NumericError
-from .multivar import (
-    CORRELATION_METHODS,
-    correlation_matrix,
-    is_positive_definite,
-    min_eigenvalue,
-)
-from .null_models import EXACT_LIMIT, null_table, z_kemeny, z_kendall_b, z_spearman
-from .rank_core import ScoreVector, pair_stats
-from .simulate import ESTIMATORS, EXPERIMENTS, default_config, run_simulation
-from .simulate import render_text as _render_simulation
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -51,6 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
+class _Command(_Parser):
+    """A subcommand's parser; ``arguments(parser)`` adds its arguments the
+    first time it parses, which is also when its ``--help`` is printed."""
+
+    def __init__(self, *, arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _tie_summary(cc) -> dict:
     return {
         "pairs": cc.pair_count,
@@ -63,6 +68,9 @@ def _tie_summary(cc) -> dict:
 
 
 def _load_xy(args):
+    from .dataio import load_csv
+    from .rank_core import ScoreVector
+
     data = load_csv(args.csv)
     if args.y is None and data.p < 2:
         raise DataError(
@@ -108,7 +116,17 @@ def _render_correlate(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _correlate_arguments(p) -> None:
+    from .rank_core import ESTIMATORS
+
+    p.add_argument("--method", default="all",
+                   choices=["all", *ESTIMATORS],
+                   help="one estimator, or all six (default)")
+
+
 def _cmd_correlate(args) -> None:
+    from .rank_core import ESTIMATORS, pair_stats
+
     x, y, x_name, y_name = _load_xy(args)
     methods = list(ESTIMATORS) if args.method == "all" else [args.method]
     cc = pair_stats(x, y)
@@ -127,6 +145,8 @@ def _cmd_correlate(args) -> None:
 
 def _no_exact_null(method: str, n: int) -> str:
     """Why ``test`` printed no exact-null p for this method and n."""
+    from .null_models import EXACT_LIMIT
+
     if method == "kendall-b":
         return "no exact null"
     if method == "spearman":
@@ -161,14 +181,29 @@ def _render_test(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _test_arguments(p) -> None:
+    p.add_argument("--method", default="kemeny",
+                   choices=["kemeny", "kendall-b", "spearman"])
+    p.add_argument("--scale", default="population",
+                   choices=["population", "sample"],
+                   help="z display scale for the kemeny method")
+    p.add_argument("--null", default="auto",
+                   choices=["auto", "exact", "normal"])
+    p.add_argument("--ratio", action="store_true",
+                   help="report the spearman statistic as rho/sqrt(n-1)")
+
+
 def _cmd_test(args) -> None:
+    from .null_models import z_kemeny, z_kendall_b, z_spearman
+    from .rank_core import ESTIMATORS, pair_stats
+
     x, y, x_name, y_name = _load_xy(args)
     cc = pair_stats(x, y)
     # each method's z test, and the ESTIMATORS entry it reports as the estimate;
     # kendall-b has the normal null only, so its one test serves every --null
     run, estimator = {
-        "kemeny": (functools.partial(z_kemeny, x, y, scale=args.scale), "kemeny-tau"),
-        "spearman": (functools.partial(z_spearman, x, y, as_ratio=args.ratio), "kemeny-rho"),
+        "kemeny": (lambda null: z_kemeny(x, y, null=null, scale=args.scale), "kemeny-tau"),
+        "spearman": (lambda null: z_spearman(x, y, null=null, as_ratio=args.ratio), "kemeny-rho"),
         "kendall-b": (lambda null: z_kendall_b(x, y), "kendall-b"),
     }[args.method]
     result = run(null=args.null)
@@ -215,7 +250,18 @@ def _render_matrix(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _matrix_arguments(p) -> None:
+    from .multivar import CORRELATION_METHODS
+
+    p.add_argument("csv", help="CSV file with a header row")
+    p.add_argument("--method", default="kemeny-tau",
+                   choices=[m.replace("_", "-") for m in CORRELATION_METHODS])
+
+
 def _cmd_matrix(args) -> None:
+    from .dataio import load_csv
+    from .multivar import correlation_matrix, is_positive_definite, min_eigenvalue
+
     data = load_csv(args.csv)
     method = args.method.replace("-", "_")
     result = correlation_matrix(data, method)
@@ -247,7 +293,15 @@ def _render_enumerate(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _enumerate_arguments(p) -> None:
+    from .enum_oracle import MAX_ENUM_N
+
+    p.add_argument("n", type=int, help=f"vector length, 2..{MAX_ENUM_N}")
+
+
 def _cmd_enumerate(args) -> None:
+    from .enum_oracle import exact_distance_distribution
+
     dist = exact_distance_distribution(args.n)
     payload = {
         "n": dist.n,
@@ -267,7 +321,32 @@ def _cmd_enumerate(args) -> None:
 # --------------------------------------------------------------------------
 # simulate
 
+def _simulate_arguments(p) -> None:
+    from .simulate import EXPERIMENTS
+
+    p.add_argument("--seed", type=int, metavar="INT",
+                   help="RNG seed (required by simulate)")
+    p.add_argument("--reps", type=int, metavar="INT",
+                   help="replication count override")
+    p.add_argument("--workers", type=int, metavar="INT",
+                   help="worker process count")
+    p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
+    p.add_argument("--n", type=int, nargs="+", metavar="INT",
+                   help="vector lengths override")
+    p.add_argument("--population",
+                   choices=["bivariate_normal", "discretized_normal",
+                            "resample"])
+    p.add_argument("--rho", type=float, metavar="R",
+                   help="population correlation override")
+    p.add_argument("--levels", type=int, metavar="INT",
+                   help="discretization level count")
+    p.add_argument("--resample-file", metavar="PATH",
+                   help="CSV to resample rows from")
+
+
 def _cmd_simulate(args) -> None:
+    from .simulate import default_config, render_text, run_simulation
+
     if args.seed is None:
         raise UsageError("kemeny-stat simulate: error: --seed is required "
                          "(no wall-clock default)")
@@ -293,7 +372,7 @@ def _cmd_simulate(args) -> None:
     except ValueError as exc:
         raise UsageError(f"kemeny-stat simulate: error: {exc}") from exc
     report = run_simulation(config)
-    _write(args, report.to_json() if args.json else _render_simulation(report))
+    _write(args, report.to_json() if args.json else render_text(report))
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +394,15 @@ def _render_nulls(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nulls_arguments(p) -> None:
+    p.add_argument("n", type=int, help="vector length (>= 3)")
+    p.add_argument("--level", type=float, default=0.05,
+                   help="two-sided cutoff level (default 0.05)")
+
+
 def _cmd_nulls(args) -> None:
+    from .null_models import null_table
+
     table = null_table(args.n)
     if args.json:
         # the table's own serialization round-trips through from_json
@@ -341,9 +428,18 @@ def _cmd_nulls(args) -> None:
 # --------------------------------------------------------------------------
 # consistency-report
 
+def _consistency_arguments(p) -> None:
+    from .enum_oracle import MAX_ENUM_N
+
+    p.add_argument("--oracle-n", type=int, default=6, metavar="INT",
+                   help=f"largest enumerated n, 2..{MAX_ENUM_N} (default 6)")
+
+
 def _cmd_consistency(args) -> None:
+    from .consistency import consistency_report, render_text
+
     report = consistency_report(max_oracle_n=args.oracle_n)
-    _emit(args, report, _render_consistency)
+    _emit(args, report, render_text)
 
 
 # --------------------------------------------------------------------------
@@ -371,74 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="command")
-
-    p = sub.add_parser("correlate", parents=[common, columns],
-                       help="estimator family on two columns")
-    p.add_argument("--method", default="all",
-                   choices=["all", *ESTIMATORS],
-                   help="one estimator, or all six (default)")
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("test", parents=[common, columns],
-                       help="z test with exact-null and normal p values")
-    p.add_argument("--method", default="kemeny",
-                   choices=["kemeny", "kendall-b", "spearman"])
-    p.add_argument("--scale", default="population",
-                   choices=["population", "sample"],
-                   help="z display scale for the kemeny method")
-    p.add_argument("--null", default="auto",
-                   choices=["auto", "exact", "normal"])
-    p.add_argument("--ratio", action="store_true",
-                   help="report the spearman statistic as rho/sqrt(n-1)")
-    p.set_defaults(func=_cmd_test)
-
-    p = sub.add_parser("matrix", parents=[common],
-                       help="rank correlation matrix over all columns")
-    p.add_argument("csv", help="CSV file with a header row")
-    p.add_argument("--method", default="kemeny-tau",
-                   choices=[m.replace("_", "-") for m in CORRELATION_METHODS])
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="exact net-concordance distribution over {1..n}^n")
-    p.add_argument("n", type=int, help=f"vector length, 2..{MAX_ENUM_N}")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="deterministic Monte Carlo table reproduction")
-    p.add_argument("--seed", type=int, metavar="INT",
-                   help="RNG seed (required by simulate)")
-    p.add_argument("--reps", type=int, metavar="INT",
-                   help="replication count override")
-    p.add_argument("--workers", type=int, metavar="INT",
-                   help="worker process count")
-    p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
-    p.add_argument("--n", type=int, nargs="+", metavar="INT",
-                   help="vector lengths override")
-    p.add_argument("--population",
-                   choices=["bivariate_normal", "discretized_normal",
-                            "resample"])
-    p.add_argument("--rho", type=float, metavar="R",
-                   help="population correlation override")
-    p.add_argument("--levels", type=int, metavar="INT",
-                   help="discretization level count")
-    p.add_argument("--resample-file", metavar="PATH",
-                   help="CSV to resample rows from")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("nulls", parents=[common],
-                       help="finite-sample null table for one n")
-    p.add_argument("n", type=int, help="vector length (>= 3)")
-    p.add_argument("--level", type=float, default=0.05,
-                   help="two-sided cutoff level (default 0.05)")
-    p.set_defaults(func=_cmd_nulls)
-
-    p = sub.add_parser("consistency-report", parents=[common],
-                       help="closed forms vs fitted curves vs tables vs oracles")
-    p.add_argument("--oracle-n", type=int, default=6, metavar="INT",
-                   help=f"largest enumerated n, 2..{MAX_ENUM_N} (default 6)")
-    p.set_defaults(func=_cmd_consistency)
+                                metavar="command", parser_class=_Command)
+    for name, parents, arguments, run, help_text in (
+        ("correlate", [common, columns], _correlate_arguments, _cmd_correlate,
+         "estimator family on two columns"),
+        ("test", [common, columns], _test_arguments, _cmd_test,
+         "z test with exact-null and normal p values"),
+        ("matrix", [common], _matrix_arguments, _cmd_matrix,
+         "rank correlation matrix over all columns"),
+        ("enumerate", [common], _enumerate_arguments, _cmd_enumerate,
+         "exact net-concordance distribution over {1..n}^n"),
+        ("simulate", [common], _simulate_arguments, _cmd_simulate,
+         "deterministic Monte Carlo table reproduction"),
+        ("nulls", [common], _nulls_arguments, _cmd_nulls,
+         "finite-sample null table for one n"),
+        ("consistency-report", [common], _consistency_arguments, _cmd_consistency,
+         "closed forms vs fitted curves vs tables vs oracles"),
+    ):
+        sub.add_parser(name, parents=parents, help=help_text,
+                       arguments=arguments).set_defaults(func=run)
 
     return parser
 

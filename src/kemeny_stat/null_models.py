@@ -141,15 +141,16 @@ class NullTable:
     def pair_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    @property
+    # each moment is a pass over the support: computed once per table
+    @functools.cached_property
     def variance(self) -> float:
         s = self.support.astype(float)
         return float(np.sum(self.probabilities * s * s))
 
-    @property
+    @functools.cached_property
     def std_kurtosis(self) -> float:
         s = self.support.astype(float)
-        mu2 = float(np.sum(self.probabilities * s * s))
+        mu2 = self.variance
         mu4 = float(np.sum(self.probabilities * s**4))
         return mu4 / (mu2 * mu2)
 
@@ -246,6 +247,9 @@ def null_table(n: int) -> NullTable:
     p -= p.max()
     np.exp(p, out=p)
     p /= p.sum()
+    # the cache hands one table to every caller, and the table caches its
+    # moments, so its arrays are read-only
+    support.flags.writeable = p.flags.writeable = False
     return NullTable(n=n, alpha=alpha, q=q, support=support, probabilities=p)
 
 

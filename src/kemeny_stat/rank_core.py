@@ -45,6 +45,7 @@ import numpy as np
 from .errors import DataError, DegenerateError, DomainError
 
 __all__ = [
+    "ESTIMATORS",
     "SCALE",
     "PAIRWISE_MAX_N",
     "ScoreVector",
@@ -519,3 +520,38 @@ def greiner_sin(t: float) -> float:
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"greiner_sin domain is [-1, 1], got {t}")
     return math.sin(math.pi * t / 2.0)
+
+
+def _midranks(x) -> np.ndarray:
+    """Classical average ranks, 1-based; the textbook Spearman route."""
+    codes, sizes = as_score_vector(x).ranks
+    ends = np.cumsum(sizes)
+    mid = 0.5 * (ends - sizes + 1 + ends)
+    return mid[codes]
+
+
+def _classical_spearman(x, y) -> float:
+    """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
+    rx = _midranks(x)
+    ry = _midranks(y)
+    if rx.std() == 0.0 or ry.std() == 0.0:
+        raise DegenerateError("constant column has no rank correlation")
+    return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    if x.std() == 0.0 or y.std() == 0.0:
+        raise DegenerateError("constant column has no correlation")
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+#: The six-estimator family, in report order.  Each entry reads two
+#: ScoreVectors; the counting ones share the pair's one count.
+ESTIMATORS = {
+    "pearson": lambda x, y: _pearson(x.values, y.values),
+    "spearman": _classical_spearman,
+    "kemeny-rho": spearman_rho,
+    "kemeny-tau": kemeny_tau,
+    "kendall-b": kendall_tau_b,
+    "arcsine-r": arcsine_r,
+}

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .errors import DataError, DegenerateError
+from .errors import DataError
 from .null_models import _kendall_b_variance, population_variance
-from .rank_core import (
+from .rank_core import (  # noqa: F401  (_midranks, _classical_spearman: re-exported)
+    ESTIMATORS,
     ScoreVector,
-    arcsine_r,
-    as_score_vector,
-    kemeny_tau,
-    kendall_tau_b,
+    _classical_spearman,
+    _midranks,
     pair_stats,
     spearman_rho,
 )
@@ -156,41 +155,6 @@ def default_config(experiment: str, seed: int, **overrides) -> SimulationConfig:
     params = dict(presets[experiment])
     params.update(overrides)
     return SimulationConfig(experiment=experiment, seed=seed, **params)
-
-
-def _midranks(x) -> np.ndarray:
-    """Classical average ranks, 1-based; the textbook Spearman route."""
-    codes, sizes = as_score_vector(x).ranks
-    ends = np.cumsum(sizes)
-    mid = 0.5 * (ends - sizes + 1 + ends)
-    return mid[codes]
-
-
-def _classical_spearman(x, y) -> float:
-    """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
-    rx = _midranks(x)
-    ry = _midranks(y)
-    if rx.std() == 0.0 or ry.std() == 0.0:
-        raise DegenerateError("constant column has no rank correlation")
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.std() == 0.0 or y.std() == 0.0:
-        raise DegenerateError("constant column has no correlation")
-    return float(np.corrcoef(x, y)[0, 1])
-
-
-#: The six-estimator family, in report order.  Each entry reads two
-#: ScoreVectors; the counting ones share the pair's one count.
-ESTIMATORS = {
-    "pearson": lambda x, y: _pearson(x.values, y.values),
-    "spearman": _classical_spearman,
-    "kemeny-rho": spearman_rho,
-    "kemeny-tau": kemeny_tau,
-    "kendall-b": kendall_tau_b,
-    "arcsine-r": arcsine_r,
-}
 
 
 _NORMAL = statistics.NormalDist()

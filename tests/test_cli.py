@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kemeny_stat import null_models
-from kemeny_stat.cli import main
+from kemeny_stat.cli import build_parser, main
 from kemeny_stat.null_models import NullTable
 from kemeny_stat.simulate import default_config, run_simulation
 
@@ -345,3 +345,25 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "consistency-report" in out
+
+
+COMMANDS = ("correlate", "test", "matrix", "enumerate", "simulate", "nulls",
+            "consistency-report")
+
+
+def _help(parser, command, capsys) -> str:
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_of_one_command_matches_the_full_parser(capsys, command):
+    """A subcommand adds its arguments on first use; its help text must not
+    depend on which other subcommands were built before it."""
+    alone = _help(build_parser(), command, capsys)
+    full = build_parser()
+    for other in COMMANDS:
+        _help(full, other, capsys)
+    assert _help(full, command, capsys) == alone
+    assert alone.startswith(f"usage: kemeny-stat {command} [-h] [--json] [--out PATH]")

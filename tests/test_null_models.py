@@ -201,6 +201,16 @@ class TestNullTable:
         assert all(k < 3.0 for k in kurts)
         assert all(a < b for a, b in zip(kurts, kurts[1:]))
 
+    def test_moments_computed_once_from_read_only_arrays(self):
+        table = nm.null_table.__wrapped__(40)
+        s = table.support.astype(float)
+        mu2 = float(np.sum(table.probabilities * s * s))
+        assert table.variance == mu2
+        assert table.std_kurtosis == float(np.sum(table.probabilities * s**4)) / (mu2 * mu2)
+        assert vars(table)["variance"] == mu2 and "std_kurtosis" in vars(table)
+        with pytest.raises(ValueError, match="read-only"):
+            table.probabilities[0] = 0.5
+
     def test_central_two_sided_p_is_one(self):
         assert nm.null_table(15).p_two_sided(0) == pytest.approx(1.0, abs=1e-12)
 
