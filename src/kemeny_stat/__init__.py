@@ -31,10 +31,8 @@ _EXPORTS = {
     "rank_core": (
         "SCALE",
         "ScoreVector",
-        "PairSigns",
         "ConcordanceCounts",
         "RankVector",
-        "pair_signs",
         "pair_stats",
         "kemeny_distance_affine",
         "kemeny_distance_exact",

@@ -143,26 +143,15 @@ def _cmd_correlate(args) -> None:
 # --------------------------------------------------------------------------
 # test
 
-def _no_exact_null(method: str, n: int) -> str:
-    """Why ``test`` printed no exact-null p for this method and n."""
-    from .null_models import EXACT_LIMIT
-
-    if method == "kendall-b":
-        return "no exact null"
-    if method == "spearman":
-        return f"n = {n} outside the tabulated 3..19"
-    if n > EXACT_LIMIT:
-        return f"n = {n} > exact limit {EXACT_LIMIT}; --null exact builds it"
-    return "no lattice null below n = 3"
-
-
 def _render_test(payload: dict) -> str:
     def fmt(p):
         return "n/a" if p is None else f"{p:.6g}"
 
+    from .null_models import _exact_null
+
     exact = fmt(payload["p_exact_null"])
     if payload["p_exact_null"] is None:
-        exact += f" ({_no_exact_null(payload['method'], payload['n'])})"
+        exact += f" ({_exact_null(payload['method'], payload['n'])[1]})"
     lines = [
         f"{payload['method']} test  columns: {payload['columns'][0]} vs "
         f"{payload['columns'][1]}  n = {payload['n']}",
@@ -208,9 +197,9 @@ def _cmd_test(args) -> None:
     }[args.method]
     result = run(null=args.null)
     estimate = ESTIMATORS[estimator](x, y)
-    # "auto" picks the exact null wherever one is defined and affordable
-    # (kemeny: 3 <= n <= null_models.EXACT_LIMIT), so it alone decides the
-    # exact column; past the limit only --null exact builds a lattice
+    # "auto" picks the exact null wherever null_models._exact_null gives no
+    # reason to skip it, so it alone decides the exact column; past the
+    # exact limit only --null exact builds a lattice
     best = run(null="auto") if args.null == "normal" else result
     exact = best if best.null != "normal" else None
     normal = result if result.null == "normal" else run(null="normal")

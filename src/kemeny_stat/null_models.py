@@ -9,6 +9,11 @@ matching continuous kernel for the midrank correlation, and the z tests
 that consume them.  Everything here is closed-form or quadrature; the
 transcribed and fitted formulas the report audits, and the enumeration
 cross-checks, live in tests and in :mod:`kemeny_stat.consistency`.
+
+One rule, :func:`_exact_null`, says which finite-sample null a method has
+at n and why ``null="auto"`` would skip it; one routine, :func:`_test`,
+turns S or its unit-variance z into p-values against the null it picks.
+The three z tests only compute their statistic and call it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -282,10 +287,13 @@ class SpearmanNull:
 
 @functools.lru_cache(maxsize=32)
 def spearman_null(n: int) -> SpearmanNull:
-    """Build (and cache) the exact-kurtosis kernel null, 3 <= n <= 19."""
+    """Build (and cache) the exact-kurtosis kernel null, at the n where
+    :func:`_exact_null` finds the exact kurtosis tabulated."""
     n = int(n)
-    if n < 3 or n not in SPEARMAN_STD_KURTOSIS_BY_N:
-        raise DomainError("exact midrank null is tabulated for 3 <= n <= 19 only")
+    if _exact_null("spearman", n)[1] is not None:
+        raise DomainError(
+            f"exact midrank null is tabulated for 3 <= n <= {max(SPEARMAN_STD_KURTOSIS_BY_N)} only"
+        )
     kurt = SPEARMAN_STD_KURTOSIS_BY_N[n]
     alpha = alpha_from_kurtosis(kurt)
     q = math.sqrt(2.0 * alpha + 3.0)
@@ -314,14 +322,59 @@ class TestResult:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "statistic": self.statistic,
-            "p_two_sided": self.p_two_sided,
-            "p_one_sided": self.p_one_sided,
-            "method": self.method,
-            "null": self.null,
-            "details": dict(self.details),
-        }
+        return asdict(self)
+
+
+def _exact_null(method: str, n: int) -> tuple[str | None, str | None]:
+    """The finite-sample null of ``method`` at n, and why "auto" skips it.
+
+    The name is the null ``null="exact"`` asks for: the lattice for kemeny,
+    the kernel for spearman, none for any other method.  The reason is None
+    where "auto" uses that null; otherwise it says why not, as the CLI
+    prints it beside an n/a exact p.
+    """
+    if method == "kemeny":
+        if n < 3:
+            return "lattice", "no lattice null below n = 3"
+        if n > EXACT_LIMIT:
+            return "lattice", f"n = {n} > exact limit {EXACT_LIMIT}; --null exact builds it"
+        return "lattice", None
+    if method == "spearman":
+        # n = 2 is tabulated too, but its kurtosis of 1 admits no kernel
+        if n >= 3 and n in SPEARMAN_STD_KURTOSIS_BY_N:
+            return "kernel", None
+        return "kernel", f"n = {n} outside the tabulated 3..{max(SPEARMAN_STD_KURTOSIS_BY_N)}"
+    return None, "no exact null"
+
+
+def _test(
+    method: str, statistic: float, n: int, s: int | None, z: float, null: str, details: dict
+) -> TestResult:
+    """Two-sided test of S = C - D (``s``) or of its unit-variance form ``z``.
+
+    ``statistic`` is only reported.  "auto" takes the null :func:`_exact_null`
+    names unless it gives a reason to skip it; "exact" takes that null
+    wherever it can be built (z_kendall_b, which has none, passes "auto").
+    The lattice reads the mid-p of S, the kernel and the normal read the
+    upper tail of z.
+    """
+    if null not in ("auto", "exact", "normal"):
+        raise ValueError(f"unknown null {null!r}")
+    name, skipped = _exact_null(method, n)
+    if null == "normal" or (null == "auto" and skipped is not None):
+        name, p_one = "normal", _normal_upper(z)
+    elif name == "lattice":
+        p_one = null_table(n).p_upper(s)
+    else:
+        p_one = spearman_null(n).p_upper(z)
+    return TestResult(
+        statistic=float(statistic),
+        p_two_sided=2.0 * min(p_one, 1.0 - p_one),
+        p_one_sided=p_one,
+        method=method,
+        null=name,
+        details=details,
+    )
 
 
 def z_kemeny(
@@ -337,44 +390,25 @@ def z_kemeny(
     exact population standard deviation (unit variance under the null);
     "sample" divides by sqrt(ux uy) / m with ux, uy the per-column untied
     pair counts, which is m times the tie-adjusted tau.  The p-value is
-    driven by S itself against the lattice null (mid-p) when n is small
-    enough ("auto": n <= EXACT_LIMIT), else by the population-calibrated z
+    driven by S itself against the lattice null (mid-p) where "auto" takes
+    it (n from 3 to EXACT_LIMIT), else by the population-calibrated z
     against a normal, so the choice of displayed scale never changes the p-value.
     """
     counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
-    m = counts.pair_count
-    sigma0 = math.sqrt(float(population_variance(n)))
+    z = s / math.sqrt(float(population_variance(n)))
     if scale == "population":
-        statistic = s / sigma0
+        statistic = z
     elif scale == "sample":
         untied_x = counts.concordant + counts.discordant + counts.tied_y
         untied_y = counts.concordant + counts.discordant + counts.tied_x
         if untied_x == 0 or untied_y == 0:
             raise DegenerateError("a column is constant: no untied pairs to scale by")
-        statistic = s * m / math.sqrt(untied_x * untied_y)
+        statistic = s * counts.pair_count / math.sqrt(untied_x * untied_y)
     else:
         raise ValueError(f"unknown scale {scale!r}")
-    if null not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown null {null!r}")
-    use_exact = null == "exact" or (null == "auto" and 3 <= n <= EXACT_LIMIT)
-    if use_exact:
-        table = null_table(n)
-        p_one = table.p_upper(s)
-        null_name = "lattice"
-    else:
-        p_one = _normal_upper(s / sigma0)
-        null_name = "normal"
-    p_two = 2.0 * min(p_one, 1.0 - p_one)
-    return TestResult(
-        statistic=float(statistic),
-        p_two_sided=p_two,
-        p_one_sided=p_one,
-        method="kemeny",
-        null=null_name,
-        details={"n": n, "net_concordance": s, "scale": scale},
-    )
+    return _test("kemeny", statistic, n, s, z, null, {"n": n, "net_concordance": s, "scale": scale})
 
 
 def _kendall_b_variance(
@@ -418,15 +452,7 @@ def z_kendall_b(
     if variance <= 0:
         raise DegenerateError("tie structure leaves no variance for the concordance count")
     z = s / math.sqrt(variance)
-    p_one = _normal_upper(z)
-    return TestResult(
-        statistic=float(z),
-        p_two_sided=2.0 * min(p_one, 1.0 - p_one),
-        p_one_sided=p_one,
-        method="kendall_b",
-        null="normal",
-        details={"n": n, "net_concordance": s, "variance": variance},
-    )
+    return _test("kendall_b", z, n, s, z, "auto", {"n": n, "net_concordance": s, "variance": variance})
 
 
 def z_spearman(
@@ -442,31 +468,13 @@ def z_spearman(
     null; ``as_ratio`` instead reports rho_S / sqrt(n - 1) (a scaling whose
     null variance shrinks like (n - 1)^-2, kept for comparison and flagged
     in the consistency report).  The p-value always comes from the
-    calibrated form: kernel null when the exact kurtosis is tabulated
-    (3 <= n <= 19), normal otherwise.
+    calibrated form: kernel null where the exact kurtosis is tabulated,
+    normal otherwise.
     """
     x, y = as_score_vector(x), as_score_vector(y)
     rho = spearman_rho(x, y)
     n = x.n
     root = math.sqrt(n - 1.0)
-    z_cal = rho * root
-    statistic = rho / root if as_ratio else z_cal
-    if null not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown null {null!r}")
-    use_exact = null == "exact" or (null == "auto" and 3 <= n <= 19)
-    if use_exact:
-        kernel = spearman_null(n)
-        p_one = kernel.p_upper(z_cal)
-        null_name = "kernel"
-    else:
-        p_one = _normal_upper(z_cal)
-        null_name = "normal"
-    p_two = 2.0 * min(p_one, 1.0 - p_one)
-    return TestResult(
-        statistic=float(statistic),
-        p_two_sided=p_two,
-        p_one_sided=p_one,
-        method="spearman",
-        null=null_name,
-        details={"n": n, "rho": rho, "ratio_scale": bool(as_ratio)},
-    )
+    z = rho * root
+    statistic = rho / root if as_ratio else z
+    return _test("spearman", statistic, n, None, z, null, {"n": n, "rho": rho, "ratio_scale": bool(as_ratio)})

@@ -49,11 +49,9 @@ __all__ = [
     "SCALE",
     "PAIRWISE_MAX_N",
     "ScoreVector",
-    "PairSigns",
     "ConcordanceCounts",
     "RankVector",
     "as_score_vector",
-    "pair_signs",
     "pair_stats",
     "kemeny_distance_affine",
     "kemeny_distance_exact",
@@ -71,10 +69,9 @@ __all__ = [
 #: The analytic scale sqrt(1/2) of a single pair score.
 SCALE: float = math.sqrt(0.5)
 
-#: Largest n the O(n^2) routes take: :func:`pair_signs`,
-#: ``pair_stats(method="quadratic")`` and ``multivar.hoeffding_h``.  They peak
-#: at 17-32 B per n x n cell, so at most about 0.8 GB here; past it they raise
-#: DataError before allocating anything.
+#: Largest n the O(n^2) routes take: ``pair_stats(method="quadratic")`` and
+#: ``multivar.hoeffding_h``.  They peak at 17-32 B per n x n cell, so at most
+#: about 0.8 GB here; past it they raise DataError before allocating anything.
 PAIRWISE_MAX_N: int = 5000
 
 
@@ -125,25 +122,6 @@ class ScoreVector:
 def as_score_vector(x: ScoreVector | Iterable[float] | np.ndarray) -> ScoreVector:
     """Coerce an array-like to a validated :class:`ScoreVector`."""
     return x if isinstance(x, ScoreVector) else ScoreVector(x)
-
-
-@dataclass(frozen=True)
-class PairSigns:
-    """Signs of all unordered pairs of one vector, in (k, l), k < l lex order.
-
-    ``codes[p] = sign(x_k - x_l)`` as an int8 in {-1, 0, +1}; the sqrt(1/2)
-    magnitude of the underlying score is applied analytically where needed.
-    """
-
-    n: int
-    codes: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.n * (self.n - 1) // 2
-        if self.codes.size != m:
-            raise DataError(
-                f"expected {m} pair codes for n={self.n}, got {self.codes.size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -217,18 +195,6 @@ def _refuse_pairwise(n: int, what: str) -> None:
             f"{what} builds n x n arrays: n = {n} is past the limit "
             f"PAIRWISE_MAX_N = {PAIRWISE_MAX_N}"
         )
-
-
-def pair_signs(x: ScoreVector | Iterable[float]) -> PairSigns:
-    """Score all unordered pairs of ``x``; codes in {-1, 0, +1}, lex order."""
-    v = as_score_vector(x).values
-    n = v.size
-    _refuse_pairwise(n, "pair_signs")
-    iu, ju = np.triu_indices(n, k=1)
-    # sign of a difference involving equal infinities would be NaN via
-    # subtraction, so compare rather than subtract
-    codes = (v[iu] > v[ju]).astype(np.int8) - (v[iu] < v[ju]).astype(np.int8)
-    return PairSigns(n=int(n), codes=codes)
 
 
 def _pair_stats_quadratic(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:

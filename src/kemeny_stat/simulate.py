@@ -21,14 +21,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import DataError
 from .null_models import _kendall_b_variance, population_variance
-from .rank_core import (  # noqa: F401  (_midranks, _classical_spearman: re-exported)
-    ESTIMATORS,
-    ScoreVector,
-    _classical_spearman,
-    _midranks,
-    pair_stats,
-    spearman_rho,
-)
+from .rank_core import ESTIMATORS, ScoreVector, pair_stats, spearman_rho
 from .reference import (
     CORRELATION_SPREADS,
     NULL_DISTANCE_SUMMARIES,

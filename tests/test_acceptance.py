@@ -25,6 +25,7 @@ from kemeny_stat.multivar import (
 )
 from kemeny_stat.null_models import null_table, population_variance
 from kemeny_stat.rank_core import (
+    _classical_spearman,
     kemeny_distance_affine,
     kemeny_distance_exact,
     kemeny_tau,
@@ -32,7 +33,7 @@ from kemeny_stat.rank_core import (
     pair_stats,
     spearman_rho,
 )
-from kemeny_stat.simulate import _classical_spearman, default_config, run_simulation
+from kemeny_stat.simulate import default_config, run_simulation
 
 
 def _block(report, n):

@@ -1,5 +1,6 @@
 """CLI behaviour: payload shapes, exit-code mapping, determinism plumbing."""
 
+import itertools
 import json
 import math
 
@@ -153,6 +154,40 @@ class TestTest:
         two.write_text("a,b\n1,2\n3,1\n")
         code, out, _ = run_cli(capsys, "test", str(two))
         assert code == 0 and "n/a (no lattice null below n = 3)" in out
+
+        # method x --null x n on both edges of every null's domain: the reason
+        # the exact p is n/a (None: it is printed), or the refusal of --null
+        # exact outside the null's domain
+        ns = (2, 3, 19, 20, 350, 351)
+        reasons = {
+            "kemeny": {2: "no lattice null below n = 3",
+                       351: "n = 351 > exact limit 350; --null exact builds it"},
+            "spearman": {n: f"n = {n} outside the tabulated 3..19" for n in (2, 20, 350, 351)},
+            "kendall-b": {n: "no exact null" for n in ns},
+        }
+        refusals = {
+            ("kemeny", 2): "shape parameter is undefined for n < 3",
+            **{("spearman", n): "exact midrank null is tabulated for 3 <= n <= 19 only"
+               for n in (2, 20, 350, 351)},
+        }
+        for n in ns:
+            path = tmp_path / f"grid{n}.csv"
+            path.write_text("a,b\n" + "".join(f"{i % 5},{(3 * i + 1) % 7}\n" for i in range(n)))
+            for method, null in itertools.product(reasons, ("auto", "exact", "normal")):
+                code, out, err = run_cli(
+                    capsys, "test", str(path), "--method", method, "--null", null
+                )
+                case = (method, null, n)
+                if null == "exact" and (method, n) in refusals:
+                    assert (code, out) == (3, ""), case
+                    assert err == f"numeric error: {refusals[method, n]}\n", case
+                    continue
+                assert code == 0 and err == "", case
+                reason = reasons[method].get(n) if null != "exact" or method == "kendall-b" else None
+                if reason is None:
+                    assert "n/a" not in out, case
+                else:
+                    assert f"  p exact-null  n/a ({reason})   normal-approx " in out, case
 
 
 class TestMatrix:

@@ -330,6 +330,45 @@ class TestSpearmanKernel:
             nm.spearman_null(n)
 
 
+#: Sample sizes on both edges of every null's domain: n = 3, the kernel's
+#: n = 19 and the default EXACT_LIMIT = 350.
+NULL_GRID_NS = (2, 3, 19, 20, 350, 351)
+
+#: The null each test uses at the sizes of NULL_GRID_NS, for each method and
+#: ``null=``; DomainError where "exact" asks for a null outside its domain.
+#: z_kendall_b takes no ``null=``: it has the normal null only.
+NULL_CHOICE = {
+    ("kemeny", "auto"): ("normal", "lattice", "lattice", "lattice", "lattice", "normal"),
+    ("kemeny", "exact"): (DomainError, "lattice", "lattice", "lattice", "lattice", "lattice"),
+    ("kemeny", "normal"): ("normal",) * 6,
+    ("spearman", "auto"): ("normal", "kernel", "kernel", "normal", "normal", "normal"),
+    ("spearman", "exact"): (DomainError, "kernel", "kernel") + (DomainError,) * 3,
+    ("spearman", "normal"): ("normal",) * 6,
+    ("kendall_b", None): ("normal",) * 6,
+}
+
+
+def grid_columns(n):
+    """Two tied, non-constant columns of length n (non-constant from n = 2)."""
+    i = np.arange(n)
+    return (i % 5).astype(float), ((3 * i + 1) % 7).astype(float)
+
+
+@pytest.mark.parametrize("method, null", sorted(NULL_CHOICE, key=str))
+@pytest.mark.parametrize("n", NULL_GRID_NS)
+def test_null_choice_grid(method, null, n):
+    x, y = grid_columns(n)
+    expected = NULL_CHOICE[method, null][NULL_GRID_NS.index(n)]
+    test = getattr(nm, f"z_{method}")
+    run = (lambda: test(x, y)) if null is None else (lambda: test(x, y, null=null))
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            run()
+        return
+    res = run()
+    assert (res.method, res.null, res.details["n"]) == (method, expected, n)
+
+
 class TestZKemeny:
     def test_identity_and_reversal_frozen(self):
         x = np.arange(10.0)

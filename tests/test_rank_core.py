@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from kemeny_stat import (
     SCALE,
+    ConcordanceCounts,
     DataError,
     DataMatrix,
     DegenerateError,
@@ -35,7 +36,6 @@ from kemeny_stat import (
     kemeny_tau,
     kemeny_variance,
     kendall_tau_b,
-    pair_signs,
     pair_stats,
     rank_vector,
     spearman_rho,
@@ -92,23 +92,53 @@ class TestScoreVector:
             pair_stats([1, 2, 3], [1, 2])
 
 
+def pair_signs(x) -> np.ndarray:
+    """sign(x_k - x_l) of every unordered pair k < l, in lex order, as int8.
+
+    The pair scores written out, the oracle beside
+    ``pair_stats(method="quadratic")``: a pair is concordant when its two
+    signs agree and are non-zero, and tied in x where the x sign is 0.
+    """
+    v = np.asarray(x, dtype=float)
+    iu, ju = np.triu_indices(v.size, k=1)
+    # sign of a difference involving equal infinities would be NaN via
+    # subtraction, so compare rather than subtract
+    return (v[iu] > v[ju]).astype(np.int8) - (v[iu] < v[ju]).astype(np.int8)
+
+
 class TestPairSigns:
     def test_strict_vector(self):
         # pairs in lex order: (1,2),(1,3),(2,3)
-        assert pair_signs([1, 2, 3]).codes.tolist() == [-1, -1, -1]
+        assert pair_signs([1, 2, 3]).tolist() == [-1, -1, -1]
 
     def test_with_ties(self):
-        assert pair_signs([2, 2, 1]).codes.tolist() == [0, 1, 1]
+        assert pair_signs([2, 2, 1]).tolist() == [0, 1, 1]
 
     def test_with_infinities(self):
         # (1,-inf): +1, (1,+inf): -1, (-inf,+inf): -1
-        assert pair_signs([1.0, -INF, INF]).codes.tolist() == [1, -1, -1]
+        assert pair_signs([1.0, -INF, INF]).tolist() == [1, -1, -1]
 
     def test_tied_infinities(self):
-        assert pair_signs([INF, INF]).codes.tolist() == [0]
+        assert pair_signs([INF, INF]).tolist() == [0]
 
     def test_codes_are_int8(self):
-        assert pair_signs([3, 1, 2]).codes.dtype == np.int8
+        assert pair_signs([3, 1, 2]).dtype == np.int8
+
+    def test_classifies_pairs_like_both_routes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x, y = fuzz_pair(rng, n_hi=30)
+            sx, sy = pair_signs(x), pair_signs(y)
+            expected = ConcordanceCounts(
+                len(x),
+                int(np.count_nonzero(sx * sy == 1)),
+                int(np.count_nonzero(sx * sy == -1)),
+                int(np.count_nonzero((sx == 0) & (sy != 0))),
+                int(np.count_nonzero((sx != 0) & (sy == 0))),
+                int(np.count_nonzero((sx == 0) & (sy == 0))),
+            )
+            assert pair_stats(x, y, method="quadratic") == expected
+            assert pair_stats(x, y) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +208,9 @@ class TestPairStats:
         monkeypatch.setattr(rank_core, "PAIRWISE_MAX_N", 10)
         x = np.arange(11.0)
         with pytest.raises(DataError, match="n = 11"):
-            pair_signs(x)
-        with pytest.raises(DataError, match="n = 11"):
             pair_stats(x, x, method="quadratic")
         assert pair_stats(x, x).concordant == 55
-        assert pair_signs(x[:10]).codes.size == 45
+        assert pair_stats(x[:10], x[:10], method="quadratic").concordant == 45
 
     def test_symmetry_swaps_tie_roles(self):
         rng = np.random.default_rng(3)
