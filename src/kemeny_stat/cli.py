@@ -188,12 +188,11 @@ def _cmd_test(args) -> None:
 
     x, y, x_name, y_name = _load_xy(args)
     cc = pair_stats(x, y)
-    # each method's z test, and the ESTIMATORS entry it reports as the estimate;
-    # kendall-b has the normal null only, so its one test serves every --null
+    # each method's z test, and the ESTIMATORS entry it reports as the estimate
     run, estimator = {
         "kemeny": (lambda null: z_kemeny(x, y, null=null, scale=args.scale), "kemeny-tau"),
         "spearman": (lambda null: z_spearman(x, y, null=null, as_ratio=args.ratio), "kemeny-rho"),
-        "kendall-b": (lambda null: z_kendall_b(x, y), "kendall-b"),
+        "kendall-b": (lambda null: z_kendall_b(x, y, null=null), "kendall-b"),
     }[args.method]
     result = run(null=args.null)
     estimate = ESTIMATORS[estimator](x, y)

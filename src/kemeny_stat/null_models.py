@@ -154,10 +154,10 @@ class NullTable:
 
     @functools.cached_property
     def std_kurtosis(self) -> float:
-        s = self.support.astype(float)
-        mu2 = self.variance
-        mu4 = float(np.sum(self.probabilities * s**4))
-        return mu4 / (mu2 * mu2)
+        s2 = self.support.astype(float)
+        s2 *= s2
+        mu4 = float(np.sum(self.probabilities * (s2 * s2)))
+        return mu4 / (self.variance * self.variance)
 
     @property
     def excess_kurtosis(self) -> float:
@@ -354,13 +354,15 @@ def _test(
 
     ``statistic`` is only reported.  "auto" takes the null :func:`_exact_null`
     names unless it gives a reason to skip it; "exact" takes that null
-    wherever it can be built (z_kendall_b, which has none, passes "auto").
-    The lattice reads the mid-p of S, the kernel and the normal read the
-    upper tail of z.
+    wherever it can be built, and is refused where it names none.  The
+    lattice reads the mid-p of S, the kernel and the normal read the upper
+    tail of z.
     """
     if null not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown null {null!r}")
     name, skipped = _exact_null(method, n)
+    if null == "exact" and name is None:
+        raise DomainError(f"{method} has {skipped}; use --null auto or normal")
     if null == "normal" or (null == "auto" and skipped is not None):
         name, p_one = "normal", _normal_upper(z)
     elif name == "lattice":
@@ -401,11 +403,9 @@ def z_kemeny(
     if scale == "population":
         statistic = z
     elif scale == "sample":
-        untied_x = counts.concordant + counts.discordant + counts.tied_y
-        untied_y = counts.concordant + counts.discordant + counts.tied_x
-        if untied_x == 0 or untied_y == 0:
+        if counts.untied_x == 0 or counts.untied_y == 0:
             raise DegenerateError("a column is constant: no untied pairs to scale by")
-        statistic = s * counts.pair_count / math.sqrt(untied_x * untied_y)
+        statistic = s * counts.pair_count / math.sqrt(counts.untied_x * counts.untied_y)
     else:
         raise ValueError(f"unknown scale {scale!r}")
     return _test("kemeny", statistic, n, s, z, null, {"n": n, "net_concordance": s, "scale": scale})
@@ -438,11 +438,14 @@ def _kendall_b_variance(
 def z_kendall_b(
     x: ScoreVector | Iterable[float],
     y: ScoreVector | Iterable[float],
+    *,
+    null: str = "auto",
 ) -> TestResult:
     """Classical tie-adjusted normal test for tau_b.
 
     Variance (v0 - vt - vu)/18 + v1 + v2 with the usual tie-block sums;
-    degenerates (and raises) when either column is constant.
+    degenerates (and raises) when either column is constant.  The normal is
+    its only null: "auto" and "normal" take it, "exact" raises DomainError.
     """
     x, y = as_score_vector(x), as_score_vector(y)
     counts = pair_stats(x, y)
@@ -452,7 +455,7 @@ def z_kendall_b(
     if variance <= 0:
         raise DegenerateError("tie structure leaves no variance for the concordance count")
     z = s / math.sqrt(variance)
-    return _test("kendall_b", z, n, s, z, "auto", {"n": n, "net_concordance": s, "variance": variance})
+    return _test("kendall_b", z, n, s, z, null, {"n": n, "net_concordance": s, "variance": variance})
 
 
 def z_spearman(

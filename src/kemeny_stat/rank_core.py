@@ -162,6 +162,16 @@ class ConcordanceCounts:
         """C - D, the integer sufficient statistic for every estimator here."""
         return self.concordant - self.discordant
 
+    @property
+    def untied_x(self) -> int:
+        """Pairs untied in x: C + D + the pairs tied in y only."""
+        return self.concordant + self.discordant + self.tied_y
+
+    @property
+    def untied_y(self) -> int:
+        """Pairs untied in y: C + D + the pairs tied in x only."""
+        return self.concordant + self.discordant + self.tied_x
+
 
 @dataclass(frozen=True)
 class RankVector:
@@ -467,15 +477,12 @@ def kendall_tau_b(
     so on tie-free data tau_b == tau_kappa.  Constant inputs raise.
     """
     c = pair_stats(x, y)
-    m = c.pair_count
-    untied_x = m - c.tied_x - c.tied_both
-    untied_y = m - c.tied_y - c.tied_both
-    if untied_x == 0 or untied_y == 0:
-        which = "x" if untied_x == 0 else "y"
+    if c.untied_x == 0 or c.untied_y == 0:
+        which = "x" if c.untied_x == 0 else "y"
         raise DegenerateError(
             f"kendall_tau_b undefined: {which} is constant (all pairs tied)"
         )
-    return c.net_concordance / math.sqrt(untied_x * untied_y)
+    return c.net_concordance / math.sqrt(c.untied_x * c.untied_y)
 
 
 def greiner_sin(t: float) -> float:

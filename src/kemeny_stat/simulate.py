@@ -16,12 +16,14 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import __version__ as _version
 from .errors import DataError
-from .null_models import _kendall_b_variance, population_variance
-from .rank_core import ESTIMATORS, ScoreVector, pair_stats, spearman_rho
+from .null_models import z_kemeny, z_kendall_b, z_spearman
+from .rank_core import ESTIMATORS, ScoreVector, pair_stats
 from .reference import (
     CORRELATION_SPREADS,
     NULL_DISTANCE_SUMMARIES,
@@ -40,13 +42,76 @@ __all__ = [
     "render_text",
 ]
 
-EXPERIMENTS = (
-    "table_correlations",
-    "table1",
-    "table3",
-    "table5",
-    "null_calibration",
-)
+
+class _Experiment(NamedTuple):
+    """A row of :data:`_EXPERIMENTS`: the desk-scale config fields that differ
+    from the :class:`SimulationConfig` defaults; each row label, in order, with
+    its tabulated (mean, sd[, excess kurtosis]) by n; the row statistics of one
+    draw (x, y); and the per-n extras read from the rows' columns.
+    """
+
+    preset: dict
+    references: dict[str, dict[int, tuple[float, ...]]]
+    stats: Callable[[ScoreVector, ScoreVector], tuple[float, ...]]
+    extras: Callable[[dict[str, np.ndarray]], dict] | None = None
+
+
+def _calibration_extras(columns: dict[str, np.ndarray]) -> dict:
+    z = np.abs(columns["z_kemeny"])
+    return {
+        "abs_z_95_quantile": float(np.quantile(z, 0.95)),
+        "tail_rate_above_1p85": float(np.mean(z > TWO_SIDED_CUTOFF_N15)),
+    }
+
+
+def _ratio_extras(columns: dict[str, np.ndarray]) -> dict:
+    mk = abs(float(columns["z_kendall_b"].mean()))
+    mq = abs(float(columns["z_kemeny"].mean()))
+    return {"mean_ratio_kendall_over_kemeny": mk / mq if mq > 0 else math.inf}
+
+
+# the z statistics do not depend on the null; "normal" keeps the lattice out
+# of the replicate loop
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "table_correlations": _Experiment(
+        preset=dict(n_values=(30,)),
+        references={
+            label: {n: spreads[label] for n, spreads in CORRELATION_SPREADS.items()}
+            for label in (name.replace("-", "_") for name in ESTIMATORS)
+        },
+        stats=lambda x, y: tuple(float(f(x, y)) for f in ESTIMATORS.values()),
+    ),
+    "table1": _Experiment(
+        preset=dict(n_values=(3, 4, 5, 6, 7, 8)),
+        references={"net_concordance": NULL_DISTANCE_SUMMARIES},
+        stats=lambda x, y: (float(pair_stats(x, y).net_concordance),),
+    ),
+    "table3": _Experiment(
+        preset=dict(n_values=(15, 25, 100, 250), rho=-0.3857, levels=4),
+        references={
+            "z_kendall_b": TIED_Z_SUMMARIES["kendall_b"],
+            "z_kemeny": TIED_Z_SUMMARIES["kemeny"],
+        },
+        stats=lambda x, y: (
+            z_kendall_b(x, y, null="normal").statistic,
+            z_kemeny(x, y, null="normal").statistic,
+        ),
+        extras=_ratio_extras,
+    ),
+    "table5": _Experiment(
+        preset=dict(n_values=(100,), population="bivariate_normal", rho=-0.38569),
+        references={"z_spearman": SPEARMAN_Z_SUMMARIES},
+        stats=lambda x, y: (z_spearman(x, y, null="normal").statistic,),
+    ),
+    "null_calibration": _Experiment(
+        preset=dict(n_values=(15,), levels=6),
+        references={"z_kemeny": {}},
+        stats=lambda x, y: (z_kemeny(x, y, null="normal").statistic,),
+        extras=_calibration_extras,
+    ),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 _POPULATIONS = ("bivariate_normal", "discretized_normal", "resample")
 
@@ -74,10 +139,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
-            )
+        _experiment(self.experiment)
         if self.population not in _POPULATIONS:
             raise ValueError(
                 f"unknown population {self.population!r}; choose from {_POPULATIONS}"
@@ -117,36 +179,16 @@ class SimulationConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _experiment(name: str) -> _Experiment:
+    """The row of experiment ``name``; the one check of an experiment name."""
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    return _EXPERIMENTS[name]
+
+
 def default_config(experiment: str, seed: int, **overrides) -> SimulationConfig:
     """Desk-scale defaults for each experiment (full-scale via overrides)."""
-    presets: dict[str, dict] = {
-        "table_correlations": dict(
-            n_values=(30,), replications=2000, population="discretized_normal",
-            rho=0.0, levels=None,
-        ),
-        "table1": dict(
-            n_values=(3, 4, 5, 6, 7, 8), replications=2000,
-            population="discretized_normal", rho=0.0, levels=None,
-        ),
-        "table3": dict(
-            n_values=(15, 25, 100, 250), replications=2000,
-            population="discretized_normal", rho=-0.3857, levels=4,
-        ),
-        "table5": dict(
-            n_values=(100,), replications=2000,
-            population="bivariate_normal", rho=-0.38569,
-        ),
-        "null_calibration": dict(
-            n_values=(15,), replications=2000,
-            population="discretized_normal", rho=0.0, levels=6,
-        ),
-    }
-    if experiment not in presets:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
-        )
-    params = dict(presets[experiment])
-    params.update(overrides)
+    params = {"replications": 2000, **_experiment(experiment).preset, **overrides}
     return SimulationConfig(experiment=experiment, seed=seed, **params)
 
 
@@ -194,38 +236,19 @@ def _replicate(
     levels: int | None,
     resample: np.ndarray | None,
 ) -> tuple[float, ...]:
-    """One replication; returns the estimator tuple for this experiment."""
+    """One replication; returns the row statistics of this experiment."""
+    # looked up here, by name: the row's lambdas do not pickle to a worker
+    stats = _EXPERIMENTS[experiment].stats
     for attempt in range(64):
         rng = np.random.default_rng((seed, n, rep, attempt))
         x, y = map(ScoreVector, _draw_pair(rng, n, population, rho, levels, resample))
         if x.ranks[1].size < 2 or y.ranks[1].size < 2:
             continue  # degenerate draw; deterministic retry stream
-        if experiment == "table_correlations":
-            return tuple(float(f(x, y)) for f in ESTIMATORS.values())
-        if experiment == "table5":
-            return (spearman_rho(x, y) * math.sqrt(n - 1.0),)
-        s = pair_stats(x, y).net_concordance
-        if experiment == "table1":
-            return (float(s),)
-        sigma0 = math.sqrt(float(population_variance(n)))
-        if experiment == "null_calibration":
-            return (s / sigma0,)
-        if experiment == "table3":
-            return (s / math.sqrt(_kendall_b_variance(x, y)), s / sigma0)
-        raise ValueError(f"unknown experiment {experiment!r}")
+        return stats(x, y)
     raise DataError(
         f"population keeps producing constant columns at n={n}; "
         "widen the level count"
     )
-
-
-_ROW_LABELS: dict[str, tuple[str, ...]] = {
-    "table_correlations": tuple(name.replace("-", "_") for name in ESTIMATORS),
-    "table1": ("net_concordance",),
-    "table3": ("z_kendall_b", "z_kemeny"),
-    "table5": ("z_spearman",),
-    "null_calibration": ("z_kemeny",),
-}
 
 
 def _summary(values: np.ndarray) -> dict:
@@ -243,27 +266,6 @@ def _summary(values: np.ndarray) -> dict:
         "skew": m3 / m2**1.5 if m2 > 0 else 0.0,
         "excess_kurtosis": m4 / m2**2 - 3.0 if m2 > 0 else 0.0,
     }
-
-
-def _reference_for(experiment: str, n: int, label: str) -> dict | None:
-    if experiment == "table_correlations":
-        entry = CORRELATION_SPREADS.get(n, {}).get(label)
-        if entry:
-            return {"mean": entry[0], "sd": entry[1]}
-    elif experiment == "table1":
-        entry = NULL_DISTANCE_SUMMARIES.get(n)
-        if entry:
-            return {"mean": entry[0], "sd": entry[1], "excess_kurtosis": entry[2]}
-    elif experiment == "table3":
-        key = "kendall_b" if label == "z_kendall_b" else "kemeny"
-        entry = TIED_Z_SUMMARIES[key].get(n)
-        if entry:
-            return {"mean": entry[0], "sd": entry[1]}
-    elif experiment == "table5":
-        entry = SPEARMAN_Z_SUMMARIES.get(n)
-        if entry:
-            return {"mean": entry[0], "sd": entry[1]}
-    return None
 
 
 @dataclass(frozen=True)
@@ -286,20 +288,6 @@ class SimulationReport:
         raise KeyError(f"no results for n={n}")
 
 
-def _extras(experiment: str, n: int, columns: dict[str, np.ndarray]) -> dict:
-    if experiment == "null_calibration":
-        z = np.abs(columns["z_kemeny"])
-        return {
-            "abs_z_95_quantile": float(np.quantile(z, 0.95)),
-            "tail_rate_above_1p85": float(np.mean(z > TWO_SIDED_CUTOFF_N15)),
-        }
-    if experiment == "table3":
-        mk = abs(float(columns["z_kendall_b"].mean()))
-        mq = abs(float(columns["z_kemeny"].mean()))
-        return {"mean_ratio_kendall_over_kemeny": mk / mq if mq > 0 else math.inf}
-    return {}
-
-
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Execute every (n, replication) cell and aggregate summary rows."""
     resample = None
@@ -310,7 +298,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         if matrix.p < 2:
             raise DataError("resample file needs at least two columns")
         resample = matrix.values[:, :2]
-    labels = _ROW_LABELS[config.experiment]
+    experiment = _EXPERIMENTS[config.experiment]
     results = []
     for n in config.n_values:
         task = functools.partial(
@@ -335,16 +323,14 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 drawn = list(pool.map(task, reps, chunksize=chunk))
         table = np.asarray(drawn, dtype=float)
-        columns = {label: table[:, i] for i, label in enumerate(labels)}
+        columns = dict(zip(experiment.references, table.T))
         rows = []
-        for label in labels:
-            row = {"estimator": label}
-            row.update(_summary(columns[label]))
-            row["reference"] = _reference_for(config.experiment, n, label)
-            rows.append(row)
-        results.append(
-            {"n": int(n), "rows": rows, "extras": _extras(config.experiment, n, columns)}
-        )
+        for label, by_n in experiment.references.items():
+            entry = by_n.get(n)
+            reference = dict(zip(("mean", "sd", "excess_kurtosis"), entry)) if entry else None
+            rows.append({"estimator": label, **_summary(columns[label]), "reference": reference})
+        extras = experiment.extras(columns) if experiment.extras else {}
+        results.append({"n": int(n), "rows": rows, "extras": extras})
     payload = {
         "artifact_version": _version,
         "config": config.canonical_dict(),

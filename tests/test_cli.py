@@ -167,6 +167,8 @@ class TestTest:
         }
         refusals = {
             ("kemeny", 2): "shape parameter is undefined for n < 3",
+            **{("kendall-b", n): "kendall_b has no exact null; use --null auto or normal"
+               for n in ns},
             **{("spearman", n): "exact midrank null is tabulated for 3 <= n <= 19 only"
                for n in (2, 20, 350, 351)},
         }
@@ -183,7 +185,7 @@ class TestTest:
                     assert err == f"numeric error: {refusals[method, n]}\n", case
                     continue
                 assert code == 0 and err == "", case
-                reason = reasons[method].get(n) if null != "exact" or method == "kendall-b" else None
+                reason = reasons[method].get(n) if null != "exact" else None
                 if reason is None:
                     assert "n/a" not in out, case
                 else:

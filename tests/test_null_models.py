@@ -336,7 +336,8 @@ NULL_GRID_NS = (2, 3, 19, 20, 350, 351)
 
 #: The null each test uses at the sizes of NULL_GRID_NS, for each method and
 #: ``null=``; DomainError where "exact" asks for a null outside its domain.
-#: z_kendall_b takes no ``null=``: it has the normal null only.
+#: z_kendall_b has the normal null only, so it refuses "exact" at every n;
+#: its None row passes no ``null=`` (the default, "auto").
 NULL_CHOICE = {
     ("kemeny", "auto"): ("normal", "lattice", "lattice", "lattice", "lattice", "normal"),
     ("kemeny", "exact"): (DomainError, "lattice", "lattice", "lattice", "lattice", "lattice"),
@@ -345,6 +346,8 @@ NULL_CHOICE = {
     ("spearman", "exact"): (DomainError, "kernel", "kernel") + (DomainError,) * 3,
     ("spearman", "normal"): ("normal",) * 6,
     ("kendall_b", None): ("normal",) * 6,
+    ("kendall_b", "exact"): (DomainError,) * 6,
+    ("kendall_b", "normal"): ("normal",) * 6,
 }
 
 

@@ -8,7 +8,8 @@ import scipy.stats as ss
 
 from kemeny_stat import simulate as sim
 from kemeny_stat.errors import DataError
-from kemeny_stat.rank_core import _midranks
+from kemeny_stat.null_models import z_kemeny, z_kendall_b, z_spearman
+from kemeny_stat.rank_core import ESTIMATORS, ScoreVector, _midranks, pair_stats
 
 
 class TestConfig:
@@ -43,16 +44,57 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
 
     def test_default_config_presets(self):
-        cfg = sim.default_config("null_calibration", seed=5)
-        assert cfg.n_values == (15,)
-        assert cfg.levels == 6
-        assert cfg.rho == 0.0
+        assert sim.EXPERIMENTS == (
+            "table_correlations", "table1", "table3", "table5", "null_calibration",
+        )
+        # (n_values, population, rho, levels) of each desk-scale preset
+        presets = {
+            "table_correlations": ((30,), "discretized_normal", 0.0, None),
+            "table1": ((3, 4, 5, 6, 7, 8), "discretized_normal", 0.0, None),
+            "table3": ((15, 25, 100, 250), "discretized_normal", -0.3857, 4),
+            "table5": ((100,), "bivariate_normal", -0.38569, None),
+            "null_calibration": ((15,), "discretized_normal", 0.0, 6),
+        }
+        assert tuple(presets) == sim.EXPERIMENTS
+        for experiment, (n_values, population, rho, levels) in presets.items():
+            cfg = sim.default_config(experiment, seed=5)
+            assert cfg == sim.SimulationConfig(
+                experiment, n_values, 2000, seed=5, population=population, rho=rho,
+                levels=levels,
+            ), experiment
         cfg3 = sim.default_config("table3", seed=5, replications=50)
         assert cfg3.levels == 4
         assert cfg3.replications == 50
         assert cfg3.rho == pytest.approx(-0.3857)
         with pytest.raises(ValueError):
             sim.default_config("bogus", seed=5)
+
+
+#: Each experiment's replicate row, computed by the public functions.
+PUBLIC_ROWS = {
+    "table_correlations": lambda x, y: tuple(float(f(x, y)) for f in ESTIMATORS.values()),
+    "table1": lambda x, y: (float(pair_stats(x, y).net_concordance),),
+    "table3": lambda x, y: (z_kendall_b(x, y).statistic, z_kemeny(x, y).statistic),
+    "table5": lambda x, y: (z_spearman(x, y).statistic,),
+    "null_calibration": lambda x, y: (z_kemeny(x, y).statistic,),
+}
+
+
+@pytest.mark.parametrize("experiment", sim.EXPERIMENTS)
+def test_replicate_reads_public_functions(experiment):
+    # the first undegenerate draw of each preset n, where _replicate makes
+    # no retry; its row is exactly what the public functions return
+    cfg = sim.default_config(experiment, seed=19)
+    args = (cfg.seed, cfg.population, cfg.rho, cfg.levels, None)
+    for n in cfg.n_values:
+        for rep in range(8):
+            rng = np.random.default_rng((cfg.seed, n, rep, 0))
+            x, y = map(ScoreVector, sim._draw_pair(rng, n, *args[1:]))
+            if x.ranks[1].size > 1 and y.ranks[1].size > 1:
+                break
+        else:
+            pytest.fail(f"no undegenerate first draw at n={n}")
+        assert sim._replicate(experiment, n, rep, *args) == PUBLIC_ROWS[experiment](x, y), n
 
 
 class TestMidranks:
