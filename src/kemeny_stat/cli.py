@@ -143,15 +143,13 @@ def _cmd_correlate(args) -> None:
 # --------------------------------------------------------------------------
 # test
 
-def _render_test(payload: dict) -> str:
+def _render_test(payload: dict, skipped: str | None) -> str:
     def fmt(p):
         return "n/a" if p is None else f"{p:.6g}"
 
-    from .null_models import _exact_null
-
     exact = fmt(payload["p_exact_null"])
     if payload["p_exact_null"] is None:
-        exact += f" ({_exact_null(payload['method'], payload['n'])[1]})"
+        exact += f" ({skipped})"
     lines = [
         f"{payload['method']} test  columns: {payload['columns'][0]} vs "
         f"{payload['columns'][1]}  n = {payload['n']}",
@@ -183,7 +181,7 @@ def _test_arguments(p) -> None:
 
 
 def _cmd_test(args) -> None:
-    from .null_models import z_kemeny, z_kendall_b, z_spearman
+    from .null_models import _exact_null, z_kemeny, z_kendall_b, z_spearman
     from .rank_core import ESTIMATORS, pair_stats
 
     x, y, x_name, y_name = _load_xy(args)
@@ -216,7 +214,7 @@ def _cmd_test(args) -> None:
         "ties": _tie_summary(cc),
         "details": result.details,
     }
-    _emit(args, payload, _render_test)
+    _emit(args, payload, lambda p: _render_test(p, _exact_null(result.method, cc.n)[1]))
 
 
 # --------------------------------------------------------------------------

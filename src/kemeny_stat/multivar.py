@@ -19,12 +19,14 @@ import numpy as np
 from .errors import DataError, DecompositionError, DomainError
 from .rank_core import (
     ScoreVector,
-    _refuse_pairwise,
+    _exact_dot,
+    _signs,
     arcsine_r,
     as_score_vector,
     kemeny_tau,
     kemeny_variance,
     kendall_tau_b,
+    rank_vector,
     spearman_rho,
 )
 
@@ -283,37 +285,30 @@ def hoeffding_h(
     invariant under strictly increasing maps of either margin.  A positive
     ``permutations`` count adds a one-sided permutation p-value with
     add-one smoothing.
+
+    With a_k, b_k the row sums of the sign matrices of x and y and g_k those
+    of their product, the gap is (n g_k - a_k b_k) / (4 n^2), so H has an
+    exact integer numerator and permutations that tie it count as hits.
     """
-    def cdf_kernel(values) -> np.ndarray:
-        v = as_score_vector(values).values
-        _refuse_pairwise(v.size, "hoeffding_h")
-        # compare instead of subtracting so equal infinities score 1/2
-        sign = (v[:, None] > v[None, :]).astype(float)
-        sign -= (v[:, None] < v[None, :]).astype(float)
-        return 0.5 * (sign + 1.0)
+    vx = as_score_vector(x)
+    sx = _signs(vx.values, "hoeffding_h")
+    vy = as_score_vector(y)
+    sy = _signs(vy.values, "hoeffding_h")
+    n = vx.n
+    if vy.n != n:
+        raise DataError(f"length mismatch: {n} vs {vy.n}")
+    a = -rank_vector(vx).counts
+    b = -rank_vector(vy).counts
 
-    hx = cdf_kernel(x)
-    hy = cdf_kernel(y)
-    n = hx.shape[0]
-    if hy.shape[0] != n:
-        raise DataError(f"length mismatch: {n} vs {hy.shape[0]}")
+    def numerator(sy: np.ndarray, b: np.ndarray) -> int:
+        gap = n * (sx * sy).sum(axis=1, dtype=np.int64) - a * b
+        return _exact_dot(gap, gap)
 
-    def statistic(perm: np.ndarray | None) -> float:
-        hyp = hy if perm is None else hy[np.ix_(perm, perm)]
-        f1 = hx.mean(axis=1)
-        f2 = hyp.mean(axis=1)
-        f12 = (hx * hyp).mean(axis=1)
-        gap = f12 - f1 * f2
-        return float(np.mean(gap * gap))
-
-    observed = statistic(None)
-    if permutations <= 0:
-        return HoeffdingResult(statistic=observed, p_value=None, permutations=0)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(permutations):
-        perm = rng.permutation(n)
-        if statistic(perm) >= observed:
-            hits += 1
-    p = (1.0 + hits) / (1.0 + permutations)
-    return HoeffdingResult(statistic=observed, p_value=p, permutations=permutations)
+    observed = numerator(sy, b)
+    p = None
+    if permutations > 0:
+        rng = np.random.default_rng(seed)
+        perms = (rng.permutation(n) for _ in range(permutations))
+        hits = sum(numerator(sy[np.ix_(perm, perm)], b[perm]) >= observed for perm in perms)
+        p = (1.0 + hits) / (1.0 + permutations)
+    return HoeffdingResult(observed / (16 * n**5), p, max(permutations, 0))

@@ -328,10 +328,10 @@ class TestResult:
 def _exact_null(method: str, n: int) -> tuple[str | None, str | None]:
     """The finite-sample null of ``method`` at n, and why "auto" skips it.
 
-    The name is the null ``null="exact"`` asks for: the lattice for kemeny,
-    the kernel for spearman, none for any other method.  The reason is None
-    where "auto" uses that null; otherwise it says why not, as the CLI
-    prints it beside an n/a exact p.
+    ``method`` is a :attr:`TestResult.method`.  The null is the one
+    ``null="exact"`` asks for: the lattice for kemeny, the kernel for spearman,
+    none for kendall_b.  The reason is None where "auto" uses that null;
+    otherwise it says why not, as the CLI prints it beside an n/a exact p.
     """
     if method == "kemeny":
         if n < 3:
@@ -344,7 +344,9 @@ def _exact_null(method: str, n: int) -> tuple[str | None, str | None]:
         if n >= 3 and n in SPEARMAN_STD_KURTOSIS_BY_N:
             return "kernel", None
         return "kernel", f"n = {n} outside the tabulated 3..{max(SPEARMAN_STD_KURTOSIS_BY_N)}"
-    return None, "no exact null"
+    if method == "kendall_b":
+        return None, "no exact null"
+    raise ValueError(f"no null rule for method {method!r}")
 
 
 def _test(

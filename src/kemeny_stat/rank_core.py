@@ -70,8 +70,8 @@ __all__ = [
 SCALE: float = math.sqrt(0.5)
 
 #: Largest n the O(n^2) routes take: ``pair_stats(method="quadratic")`` and
-#: ``multivar.hoeffding_h``.  They peak at 17-32 B per n x n cell, so at most
-#: about 0.8 GB here; past it they raise DataError before allocating anything.
+#: ``multivar.hoeffding_h``.  They peak at about 6 and 4 B per n x n cell, so
+#: at most 150 MB here; past it they raise DataError before allocating anything.
 PAIRWISE_MAX_N: int = 5000
 
 
@@ -198,40 +198,38 @@ class RankVector:
 # ----------------------------------------------------------------------------
 
 
-def _refuse_pairwise(n: int, what: str) -> None:
-    """Raise DataError before an O(n^2) route allocates past PAIRWISE_MAX_N."""
-    if n > PAIRWISE_MAX_N:
+def _signs(v: np.ndarray, what: str) -> np.ndarray:
+    """The n x n int8 matrix sign(v_k - v_l), compared so that equal infinities
+    tie.  Raises DataError naming ``what`` before allocating past PAIRWISE_MAX_N."""
+    if v.size > PAIRWISE_MAX_N:
         raise DataError(
-            f"{what} builds n x n arrays: n = {n} is past the limit "
+            f"{what} builds n x n arrays: n = {v.size} is past the limit "
             f"PAIRWISE_MAX_N = {PAIRWISE_MAX_N}"
         )
+    s = np.greater(v[:, None], v[None, :]).view(np.int8)
+    s -= np.less(v[:, None], v[None, :]).view(np.int8)
+    return s
 
 
 def _pair_stats_quadratic(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
-    """O(n^2) reference: classify every pair from full sign matrices."""
+    """O(n^2) reference: classify every pair from the two full sign matrices, in
+    which it appears twice off the diagonal; the n diagonal cells tie in both."""
     n = xv.size
-    _refuse_pairwise(n, 'pair_stats(method="quadratic")')
-    sx = (xv[:, None] > xv[None, :]).astype(np.int8) - (
-        xv[:, None] < xv[None, :]
-    ).astype(np.int8)
-    sy = (yv[:, None] > yv[None, :]).astype(np.int8) - (
-        yv[:, None] < yv[None, :]
-    ).astype(np.int8)
-    iu = np.triu_indices(n, k=1)
-    px, py = sx[iu].astype(np.int64), sy[iu].astype(np.int64)
-    conc = int(np.count_nonzero(px * py == 1))
-    disc = int(np.count_nonzero(px * py == -1))
-    tied_x = int(np.count_nonzero((px == 0) & (py != 0)))
-    tied_y = int(np.count_nonzero((px != 0) & (py == 0)))
-    tied_both = int(np.count_nonzero((px == 0) & (py == 0)))
-    return ConcordanceCounts(int(n), conc, disc, tied_x, tied_y, tied_both)
+    sx, sy = (_signs(v, 'pair_stats(method="quadratic")') for v in (xv, yv))
+    both = sx * sy
+    zx, zy = sx == 0, sy == 0
+    conc = np.count_nonzero(both == 1) // 2
+    disc = np.count_nonzero(both == -1) // 2
+    tied_x = np.count_nonzero(zx & ~zy) // 2
+    tied_y = np.count_nonzero(~zx & zy) // 2
+    tied_both = (np.count_nonzero(zx & zy) - n) // 2
+    return ConcordanceCounts(n, conc, disc, tied_x, tied_y, tied_both)
 
 
 def _dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense codes 0..k-1 of v (in value order) and its k tie-block sizes.
 
-    The one place values are ranked: a column through
-    :attr:`ScoreVector.ranks`, and the joint codes of a pair.
+    The one place a column is ranked, through :attr:`ScoreVector.ranks`.
     """
     _, codes, sizes = np.unique(v, return_inverse=True, return_counts=True)
     return codes.astype(np.int64, copy=False), sizes.astype(np.int64, copy=False)
@@ -274,21 +272,22 @@ def _strict_inversions(codes: np.ndarray, k: int, runs: int) -> int:
 def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     """O(n log n log k) path: dense codes, block sizes, a bit-wise inversion count.
 
-    Tie-pair totals come from the block sizes of the x codes, the y codes and
-    the joint codes cx * ky + cy.  After sorting by the joint code (x, then y),
-    a discordant pair is precisely a strict inversion in the y codes (within
-    an x tie block they ascend, so such pairs are never counted).  Concordant
-    pairs are whatever remains of m.
+    Tie-pair totals come from the block sizes of the x codes and the y codes,
+    and from the runs of the joint codes cx * ky + cy, sorted once.  In that
+    order (x, then y), a discordant pair is precisely a strict inversion in
+    the y codes (within an x tie block they ascend, so such pairs are never
+    counted).  Concordant pairs are whatever remains of m.
     """
     m = vx.pair_count
     cx, sx = vx.ranks
     cy, sy = vy.ranks
     ky = sy.size
-    joint = cx * ky + cy
-    tied_pairs_both = _tied_pairs(_dense(joint)[1])
+    joint = np.sort(cx * ky + cy)
+    edges = np.flatnonzero(np.concatenate(([True], joint[1:] != joint[:-1], [True])))
+    tied_pairs_both = _tied_pairs(np.diff(edges))
     tied_x = _tied_pairs(sx) - tied_pairs_both
     tied_y = _tied_pairs(sy) - tied_pairs_both
-    discordant = _strict_inversions(np.sort(joint) % ky, ky, sx.size)
+    discordant = _strict_inversions(joint % ky, ky, sx.size)
     concordant = m - discordant - tied_x - tied_y - tied_pairs_both
     return ConcordanceCounts(vx.n, concordant, discordant, tied_x, tied_y, tied_pairs_both)
 
@@ -403,6 +402,14 @@ def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
     return RankVector(counts=net[codes])
 
 
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """The exact dot product of two int64 arrays: int64 dots over chunks too
+    short to wrap, added as Python ints (one dot may wrap past 2^63)."""
+    bound = 1 + int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    step = max(1, np.iinfo(np.int64).max // bound)
+    return sum(int(np.dot(a[i : i + step], b[i : i + step])) for i in range(0, a.size, step))
+
+
 def _rank_dots(
     x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
 ) -> tuple[int, int, int]:
@@ -412,16 +419,7 @@ def _rank_dots(
         raise DataError(
             f"length mismatch: x has {kx.size} observations, y has {ky.size}"
         )
-    # integer sufficient statistics, exact at any n: |counts| < n, so an
-    # int64 dot over `step` entries cannot wrap, and the chunks add as Python
-    # ints (one int64 dot would wrap past n ~ 3e6)
-    n = kx.size
-    step = max(1, np.iinfo(np.int64).max // (n * n))
-
-    def dot(a: np.ndarray, b: np.ndarray) -> int:
-        return sum(int(np.dot(a[i : i + step], b[i : i + step])) for i in range(0, n, step))
-
-    return dot(kx, ky), dot(kx, kx), dot(ky, ky)
+    return _exact_dot(kx, ky), _exact_dot(kx, kx), _exact_dot(ky, ky)
 
 
 def spearman_rho(
@@ -513,6 +511,8 @@ def _classical_spearman(x, y) -> float:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    if not (np.isfinite(x) & np.isfinite(y)).all():
+        raise DegenerateError("pearson undefined on +-inf; use a rank estimator like kemeny-tau")
     if x.std() == 0.0 or y.std() == 0.0:
         raise DegenerateError("constant column has no correlation")
     return float(np.corrcoef(x, y)[0, 1])

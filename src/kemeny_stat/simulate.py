@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import statistics
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -299,30 +300,31 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             raise DataError("resample file needs at least two columns")
         resample = matrix.values[:, :2]
     experiment = _EXPERIMENTS[config.experiment]
-    results = []
-    for n in config.n_values:
-        task = functools.partial(
-            _replicate,
-            config.experiment,
-            n,
-            seed=config.seed,
-            population=config.population,
-            rho=config.rho,
-            levels=config.levels,
-            resample=resample,
-        )
-        reps = range(config.replications)
-        if config.workers == 1:
-            drawn = [task(r) for r in reps]
-        else:
-            # imported here: the pool pulls in multiprocessing (~0.8 MB RSS),
-            # which single-worker runs and the other commands never use
-            from concurrent.futures import ProcessPoolExecutor
+    task = functools.partial(
+        _replicate,
+        config.experiment,
+        seed=config.seed,
+        population=config.population,
+        rho=config.rho,
+        levels=config.levels,
+        resample=resample,
+    )
+    cells = [(n, rep) for n in config.n_values for rep in range(config.replications)]
+    # a fork pool starts all its processes on its first task: cap it
+    workers = min(config.workers, len(cells), os.cpu_count() or 1)
+    if workers == 1:
+        drawn = [task(n, rep) for n, rep in cells]
+    else:
+        # imported here: the pool pulls in multiprocessing (~0.8 MB RSS),
+        # which single-worker runs and the other commands never use
+        from concurrent.futures import ProcessPoolExecutor
 
-            chunk = max(1, config.replications // (config.workers * 8))
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                drawn = list(pool.map(task, reps, chunksize=chunk))
-        table = np.asarray(drawn, dtype=float)
+        chunk = max(1, len(cells) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            drawn = list(pool.map(task, *zip(*cells), chunksize=chunk))
+    tables = np.split(np.asarray(drawn, dtype=float), len(config.n_values))
+    results = []
+    for n, table in zip(config.n_values, tables):
         columns = dict(zip(experiment.references, table.T))
         rows = []
         for label, by_n in experiment.references.items():

@@ -327,6 +327,23 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert err.startswith("numeric error: " + message)
 
+    def test_pearson_refuses_infinite_scores(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("x,y\n1,2\ninf,1\n3,-inf\n4,5\n")
+        for method in ("all", "pearson"):
+            code, out, err = run_cli(capsys, "correlate", str(path), "--method", method)
+            assert (code, out) == (3, "")
+            assert err.startswith("numeric error: pearson undefined on +-inf") and "kemeny-tau" in err
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, err = run_cli(
+            capsys, "correlate", str(path), "--method", "kemeny-tau", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=refuse)["estimates"] == {"kemeny-tau": 0.0}
+
     def test_one_column_without_y_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("a\n1\n2\n3\n")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +258,40 @@ class TestHoeffding:
         a = mv.hoeffding_h(x, y, permutations=50, seed=7)
         b = mv.hoeffding_h(x, y, permutations=50, seed=7)
         assert a.p_value == b.p_value
+
+    def test_permutations_tying_observed_count_as_hits(self):
+        def exact(x, y):
+            n = len(x)
+
+            def h(t):
+                return Fraction((t > 0) - (t < 0) + 1, 2)
+
+            total = Fraction(0)
+            for i in range(n):
+                f1 = sum(h(x[i] - x[j]) for j in range(n)) / n
+                f2 = sum(h(y[i] - y[j]) for j in range(n)) / n
+                f12 = sum(h(x[i] - x[j]) * h(y[i] - y[j]) for j in range(n)) / n
+                total += (f12 - f1 * f2) ** 2
+            return total / n
+
+        x, y = [4, 2, 1, 4, 1], [6, 5, 3, 4, 1]
+        observed = exact(x, y)
+        rng = np.random.default_rng(3)
+        perms = [rng.permutation(5) for _ in range(30)]
+        hits = sum(exact(x, [y[k] for k in perm]) >= observed for perm in perms)
+        # two of the 30 tie the observed H exactly
+        assert hits == 7
+        res = mv.hoeffding_h(x, y, permutations=30, seed=3)
+        assert res.p_value == (1 + hits) / 31
+        assert res.statistic == float(observed)
+
+    def test_numerator_exact_past_int64(self):
+        # at n = PAIRWISE_MAX_N the gaps reach 2 n^2 and their squares sum past int64
+        n = rc.PAIRWISE_MAX_N
+        gap = np.full(n, 2 * n * n - 1, dtype=np.int64)
+        gap[::2] *= -1
+        assert n * (2 * n * n - 1) ** 2 > np.iinfo(np.int64).max
+        assert rc._exact_dot(gap, gap) == n * (2 * n * n - 1) ** 2
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

@@ -430,6 +430,12 @@ class TestZKemeny:
         with pytest.raises(ValueError):
             nm.z_kemeny([1, 2, 3], [1, 2, 3], null="bogus")
 
+    def test_null_rule_takes_result_method_names(self):
+        for method in ("kemeny", "spearman", "kendall_b"):
+            nm._exact_null(method, 10)
+        with pytest.raises(ValueError, match="kendall-b"):
+            nm._exact_null("kendall-b", 10)
+
     def test_result_dict_shape(self):
         res = nm.z_kemeny([1, 2, 3], [3, 2, 1])
         payload = res.as_dict()

@@ -540,10 +540,10 @@ class TestRankEachColumnOnce:
 
     @pytest.mark.parametrize(
         "method, count",
-        [("kemeny_tau", 21), ("kendall_b", 21), ("spearman", 6), ("arcsine_r", 6)],
+        [("kemeny_tau", 6), ("kendall_b", 6), ("spearman", 6), ("arcsine_r", 6)],
     )
     def test_correlation_matrix(self, rankings, method, count):
-        # 6 columns once each, plus the joint codes of each of 15 counted pairs
+        # one ranking per column, for all 15 pairs
         data = DataMatrix(np.random.default_rng(67).integers(1, 6, (300, 6)).astype(float))
         correlation_matrix(data, method)
         assert len(rankings) == count
@@ -553,15 +553,16 @@ class TestRankEachColumnOnce:
             "table_correlations", 30, 0, 11, "discretized_normal", 0.0, None, None
         )
         assert len(row) == 6
-        assert len(rankings) == 3
+        assert len(rankings) == 2  # one ranking per column
 
     @pytest.mark.parametrize(
         "argv, count",
         [
-            (("correlate",), 3),
-            (("test", "--method", "kendall-b"), 3),
-            (("test", "--method", "kemeny"), 3),
-            (("test", "--method", "spearman", "--null", "normal"), 3),
+            # one ranking per column
+            (("correlate",), 2),
+            (("test", "--method", "kendall-b"), 2),
+            (("test", "--method", "kemeny"), 2),
+            (("test", "--method", "spearman", "--null", "normal"), 2),
         ],
         ids=["correlate", "test-kendall-b", "test-kemeny", "test-spearman-normal"],
     )
@@ -647,7 +648,8 @@ class TestCountEachPairOnce:
         # kendall-b has no exact null
         refused = argv[-1] == "exact" and argv[-3] in ("spearman", "kendall-b")
         assert cli.main([argv[0], str(path), *argv[1:]]) == (3 if refused else 0)
-        assert (len(merges), len(rankings)) == (1, 3)
+        # one count per pair, one ranking per column
+        assert (len(merges), len(rankings)) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -121,6 +123,32 @@ class TestDeterminism:
         base = sim.default_config("table3", seed=12, replications=36, n_values=(20,))
         multi = sim.SimulationConfig(**{**base.canonical_dict(), "workers": 3})
         assert sim.run_simulation(base).to_json() == sim.run_simulation(multi).to_json()
+
+    @pytest.mark.parametrize("cores, size", [(4, 4), (64, 6)])
+    def test_one_pool_capped_at_tasks_and_cores(self, monkeypatch, cores, size):
+        # a fake pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        base = sim.default_config("table3", seed=12, replications=3, n_values=(15, 20))
+        many = sim.SimulationConfig(**{**base.canonical_dict(), "workers": 10**6})
+        assert sim.run_simulation(many).to_json() == sim.run_simulation(base).to_json()
+        # 3 replications at each of 2 n values are 6 tasks
+        assert sizes == [size]
 
     def test_reports_frozen_across_refactors(self):
         # every experiment at seed 11 and 300 replications, pinned byte for
