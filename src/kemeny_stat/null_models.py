@@ -421,12 +421,15 @@ def _kendall_b_variance(
 
     def block_sums(v):
         # exact Python ints (t^3 wraps int64 once a block passes ~1.66e6),
-        # one term per distinct block size: at most sqrt(2n) of them
+        # one term per distinct block size t >= 2: at most sqrt(2n) of them
         mult = np.bincount(tie_block_sizes(v))
-        t = np.flatnonzero(mult).astype(object)
-        c = mult[mult > 0].astype(object)
-        pairs = c * t * (t - 1)
-        return int(pairs.sum()), int((pairs * (t - 2)).sum()), int((pairs * (2 * t + 5)).sum())
+        t2 = t3 = t5 = 0
+        for t in (np.flatnonzero(mult[2:]) + 2).tolist():
+            pairs = int(mult[t]) * t * (t - 1)
+            t2 += pairs
+            t3 += pairs * (t - 2)
+            t5 += pairs * (2 * t + 5)
+        return t2, t3, t5
 
     tx2, tx3, vt = block_sums(x)
     ty2, ty3, vu = block_sums(y)

@@ -24,12 +24,13 @@ all-tied vectors sit at distance m, not 0.  The exact variant d* repairs that
 
 Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
 rejected at construction.  Each vector is ranked once into dense codes and
-tie-block sizes; pair classification reads tie totals from block sizes and
-counts discordances as strict inversions of the y codes, one stable argsort
-per bit of the codes.  Each pair of vectors is classified once, and its
-counts are kept while both vectors live.  An O(n^2) sign-matrix reference
-implementation must agree with it exactly and the two are differentially
-tested.
+tie-block sizes, by one argsort and the runs of the sorted values.  Pair
+classification reads tie totals from block sizes, the jointly tied total from
+the runs of the sorted joint codes, and counts discordances as strict
+inversions of the y codes, one stable argsort per bit of the codes.  Each pair
+of vectors is classified once, and its counts are kept while both vectors
+live.  An O(n^2) sign-matrix reference implementation must agree with it
+exactly and the two are differentially tested.
 """
 
 from __future__ import annotations
@@ -226,18 +227,37 @@ def _pair_stats_quadratic(xv: np.ndarray, yv: np.ndarray) -> ConcordanceCounts:
     return ConcordanceCounts(n, conc, disc, tied_x, tied_y, tied_both)
 
 
+def _runs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run ids 0..k-1 of the nonempty sorted array s (equal neighbours share
+    an id) and the k run sizes, as int64: a run mask, its running sum, and
+    one bincount.  Equal infinities share a run, and so do -0.0 and 0.0."""
+    ids = np.empty(s.size, dtype=np.int64)
+    ids[0] = 0
+    np.not_equal(s[1:], s[:-1], out=ids[1:])
+    ids.cumsum(out=ids)
+    return ids, np.bincount(ids)
+
+
 def _dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense codes 0..k-1 of v (in value order) and its k tie-block sizes.
 
-    The one place a column is ranked, through :attr:`ScoreVector.ranks`.
+    The one place a column is ranked, through :attr:`ScoreVector.ranks`:
+    one argsort, then the run ids of the sorted values scattered back to
+    their positions.  This is numpy's sort-based unique (inverse and counts)
+    without its Python-level wrapper, which dominates the cost at small n;
+    the tests compare the two code for code.
     """
-    _, codes, sizes = np.unique(v, return_inverse=True, return_counts=True)
-    return codes.astype(np.int64, copy=False), sizes.astype(np.int64, copy=False)
+    order = v.argsort()
+    ids, sizes = _runs(v[order])
+    codes = np.empty_like(ids)
+    codes[order] = ids
+    return codes, sizes
 
 
 def _tied_pairs(sizes: np.ndarray) -> int:
-    """Sum of t(t-1)/2 over tie-block sizes t."""
-    return int((sizes * (sizes - 1) // 2).sum())
+    """Sum of t(t-1)/2 over tie-block sizes t (at most n(n-1)/2, so the int64
+    dot cannot wrap below n = 3e9)."""
+    return int(np.dot(sizes, sizes - 1)) // 2
 
 
 def _strict_inversions(codes: np.ndarray, k: int, runs: int) -> int:
@@ -259,12 +279,12 @@ def _strict_inversions(codes: np.ndarray, k: int, runs: int) -> int:
         top = (k - 1) >> (b + 1)
         if radix and top <= 0xFFFF:
             keys = keys.astype(np.min_scalar_type(top))
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         c = codes[order]
         group = c >> (b + 1)
         bit = (c >> b) & 1
-        ones_before = np.cumsum(bit) - bit
-        ones_before -= ones_before[np.searchsorted(group, group)]
+        ones_before = bit.cumsum() - bit
+        ones_before -= ones_before[group.searchsorted(group)]
         total += int(ones_before[bit == 0].sum())
     return total
 
@@ -282,9 +302,9 @@ def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     cx, sx = vx.ranks
     cy, sy = vy.ranks
     ky = sy.size
-    joint = np.sort(cx * ky + cy)
-    edges = np.flatnonzero(np.concatenate(([True], joint[1:] != joint[:-1], [True])))
-    tied_pairs_both = _tied_pairs(np.diff(edges))
+    joint = cx * ky + cy
+    joint.sort()
+    tied_pairs_both = _tied_pairs(_runs(joint)[1])
     tied_x = _tied_pairs(sx) - tied_pairs_both
     tied_y = _tied_pairs(sy) - tied_pairs_both
     discordant = _strict_inversions(joint % ky, ky, sx.size)

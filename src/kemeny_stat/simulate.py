@@ -291,6 +291,7 @@ class SimulationReport:
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Execute every (n, replication) cell and aggregate summary rows."""
+    experiment = _EXPERIMENTS[config.experiment]
     resample = None
     if config.population == "resample":
         from .dataio import load_csv
@@ -299,7 +300,13 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         if matrix.p < 2:
             raise DataError("resample file needs at least two columns")
         resample = matrix.values[:, :2]
-    experiment = _EXPERIMENTS[config.experiment]
+        # refused before any replicate runs: a draw holding +-inf would fail
+        # the whole run at the pearson row, losing the rank rows with it
+        if "pearson" in experiment.references and not np.isfinite(resample).all():
+            raise DataError(
+                f"{config.resample_file}: the pearson row of {config.experiment} "
+                "needs finite values, but the first two columns hold +-inf"
+            )
     task = functools.partial(
         _replicate,
         config.experiment,

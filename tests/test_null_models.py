@@ -5,6 +5,7 @@ exact enumeration oracle, or pinned from an independent probe run before
 these tests were written.
 """
 
+import collections
 import hashlib
 import json
 import math
@@ -479,22 +480,35 @@ class TestZKendallB:
         y = np.arange(n) % 3
         tx = [t] + [1] * (n - t)
         ty = [int(c) for c in np.bincount(y)]
-
-        def sums(blocks):
-            return (
-                sum(u * (u - 1) for u in blocks),
-                sum(u * (u - 1) * (u - 2) for u in blocks),
-                sum(u * (u - 1) * (2 * u + 5) for u in blocks),
-            )
-
-        (tx2, tx3, vt), (ty2, ty3, vu) = sums(tx), sums(ty)
-        expected = (
-            (n * (n - 1) * (2 * n + 5) - vt - vu) / 18.0
-            + tx2 * ty2 / (2.0 * n * (n - 1))
-            + tx3 * ty3 / (9.0 * n * (n - 1) * (n - 2))
-        )
         res = nm.z_kendall_b(x, y)
-        assert res.details["variance"] == pytest.approx(expected, rel=1e-12)
+        assert res.details["variance"] == pytest.approx(kendall_b_variance(n, tx, ty), rel=1e-12)
+
+    def test_variance_block_sums_fuzzed(self):
+        rng = np.random.default_rng(20241019)
+        for _ in range(400):
+            n = int(rng.integers(2, 31))
+            x, y = (rng.integers(0, rng.integers(1, n + 1), size=n).astype(float) for _ in "xy")
+            if rng.random() < 0.2:
+                x[rng.integers(0, n, size=n // 3)] = np.inf
+            tx, ty = (list(collections.Counter(v.tolist()).values()) for v in (x, y))
+            got = nm._kendall_b_variance(x, y)
+            assert got == pytest.approx(kendall_b_variance(n, tx, ty), rel=1e-12, abs=1e-12)
+
+
+def sums(blocks):
+    """The three tie-block sums of the tau_b null variance, one block at a time."""
+    return (
+        sum(u * (u - 1) for u in blocks),
+        sum(u * (u - 1) * (u - 2) for u in blocks),
+        sum(u * (u - 1) * (2 * u + 5) for u in blocks),
+    )
+
+
+def kendall_b_variance(n, tx, ty):
+    """The tie-adjusted null variance of C - D from the block sizes tx, ty."""
+    (tx2, tx3, vt), (ty2, ty3, vu) = sums(tx), sums(ty)
+    v2 = tx3 * ty3 / (9.0 * n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    return (n * (n - 1) * (2 * n + 5) - vt - vu) / 18.0 + tx2 * ty2 / (2.0 * n * (n - 1)) + v2
 
 
 class TestZSpearman:

@@ -465,6 +465,50 @@ class TestTieBlocks:
         assert tie_block_sizes([1, 2, 3]).tolist() == [1, 1, 1]
 
 
+def unique_dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The np.unique oracle for rank_core._dense: dense codes and block sizes."""
+    _, codes, sizes = np.unique(v, return_inverse=True, return_counts=True)
+    return codes.astype(np.int64), sizes.astype(np.int64)
+
+
+class TestDense:
+    """rank_core._dense equals the np.unique oracle, code for code."""
+
+    @staticmethod
+    def check(v):
+        v = np.asarray(v, dtype=float)
+        codes, sizes = rank_core._dense(v)
+        want_codes, want_sizes = unique_dense(v)
+        assert codes.dtype == sizes.dtype == np.int64
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_array_equal(sizes, want_sizes)
+
+    def test_fuzzed_vectors(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            for v in fuzz_pair(rng, n_hi=40):
+                self.check(v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+            [INF, -INF, INF, 1.0, -INF, INF, -0.0, -INF, 0.0],
+            [2.5] * 9,
+            [1.0, 0.0],
+            [3.0, 3.0],
+        ],
+        ids=["signed-zeros", "repeated-infinities", "constant", "n2", "n2-tied"],
+    )
+    def test_edge_cases(self, v):
+        self.check(v)
+
+    def test_large(self):
+        rng = np.random.default_rng(47)
+        self.check(rng.permutation(10**5) + rng.random(10**5) / 2)  # tie-free
+        self.check(rng.integers(0, 5, size=10**6))
+
+
 # ---------------------------------------------------------------------------
 # one ranking per column
 # ---------------------------------------------------------------------------

@@ -268,6 +268,33 @@ class TestResamplePopulation:
         with pytest.raises(DataError, match="two columns"):
             sim.run_simulation(cfg)
 
+    def test_infinite_values_refused_before_any_replicate(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        xy = rng.normal(size=(40, 2))
+        xy[::7, 0] = np.inf
+        path = tmp_path / "inf.csv"
+        path.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in xy))
+
+        def cfg(experiment):
+            return sim.SimulationConfig(
+                experiment=experiment,
+                n_values=(20,),
+                replications=5,
+                seed=1,
+                population="resample",
+                resample_file=str(path),
+            )
+
+        # the rank rows are well defined on +-inf
+        for experiment in ("table3", "table5"):
+            report = sim.run_simulation(cfg(experiment))
+            assert all(math.isfinite(row["mean"]) for row in report.rows(20).values())
+        drawn = []
+        monkeypatch.setattr(sim, "_replicate", lambda *a, **k: drawn.append(a))
+        with pytest.raises(DataError, match=r"inf\.csv.*pearson.*finite"):
+            sim.run_simulation(cfg("table_correlations"))
+        assert drawn == []
+
 
 class TestRender:
     def test_text_layout(self):
