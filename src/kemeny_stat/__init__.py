@@ -69,9 +69,6 @@ _EXPORTS = {
         "min_eigenvalue",
         "is_positive_definite",
         "loglik_kernel",
-        "full_log_likelihood",
-        "LoadingsSolution",
-        "polychoric_loadings",
         "tetrachoric_from_table",
         "HoeffdingResult",
         "hoeffding_h",

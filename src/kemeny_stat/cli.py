@@ -330,27 +330,30 @@ def _simulate_arguments(p) -> None:
                    help="CSV to resample rows from")
 
 
+#: (argparse dest, SimulationConfig field) of each simulate flag that
+#: overrides the experiment's default config when given
+_SIMULATE_OVERRIDES = (
+    ("reps", "replications"),
+    ("n", "n_values"),
+    ("population", "population"),
+    ("rho", "rho"),
+    ("levels", "levels"),
+    ("resample_file", "resample_file"),
+    ("workers", "workers"),
+)
+
+
 def _cmd_simulate(args) -> None:
     from .simulate import default_config, render_text, run_simulation
 
     if args.seed is None:
         raise UsageError("kemeny-stat simulate: error: --seed is required "
                          "(no wall-clock default)")
-    overrides = {}
-    if args.reps is not None:
-        overrides["replications"] = args.reps
-    if args.n is not None:
-        overrides["n_values"] = tuple(args.n)
-    if args.population is not None:
-        overrides["population"] = args.population
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.resample_file is not None:
-        overrides["resample_file"] = args.resample_file
-    if args.workers is not None:
-        overrides["workers"] = args.workers
+    overrides = {
+        field: getattr(args, dest)
+        for dest, field in _SIMULATE_OVERRIDES
+        if getattr(args, dest) is not None
+    }
     try:
         config = default_config(args.experiment, seed=args.seed, **overrides)
     except (DataError, NumericError):

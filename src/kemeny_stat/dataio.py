@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -28,19 +28,15 @@ from .multivar import DataMatrix
 __all__ = ["load_csv"]
 
 
-def load_csv(source: str | IO[str], *, columns: Sequence[str] | None = None) -> DataMatrix:
-    """Read a headed CSV into a DataMatrix, optionally selecting columns."""
+def load_csv(source: str | IO[str]) -> DataMatrix:
+    """Read a headed CSV into a DataMatrix."""
     if hasattr(source, "read"):
-        matrix = _load(source)
-    else:
-        try:
-            with open(source, newline="") as handle:
-                matrix = _load(handle)
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc.strerror}") from None
-    if columns is not None:
-        matrix = matrix.select(list(columns))
-    return matrix
+        return _load(source)
+    try:
+        with open(source, newline="") as handle:
+            return _load(handle)
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc.strerror}") from None
 
 
 def _load(handle: IO[str]) -> DataMatrix:

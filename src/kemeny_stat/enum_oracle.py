@@ -34,7 +34,6 @@ from .errors import DomainError
 
 __all__ = [
     "MAX_ENUM_N",
-    "PopulationSpec",
     "ExactDistribution",
     "enumerate_population",
     "exact_distance_distribution",
@@ -47,25 +46,10 @@ __all__ = [
 MAX_ENUM_N: int = 8
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    """The universe {1..n}^n of tied score vectors."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.n <= MAX_ENUM_N:
-            raise DomainError(
-                f"enumeration supports 2 <= n <= {MAX_ENUM_N}, got {self.n}"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.n**self.n
-
-    @property
-    def pair_count(self) -> int:
-        return self.n * (self.n - 1) // 2
+def _check_n(n: int) -> None:
+    """The one range check of the oracles: 2 <= n <= MAX_ENUM_N."""
+    if not 2 <= n <= MAX_ENUM_N:
+        raise DomainError(f"enumeration supports 2 <= n <= {MAX_ENUM_N}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +98,9 @@ class ExactDistribution:
         return self.std_kurtosis - 3
 
 
-def enumerate_population(spec: PopulationSpec | int) -> Iterator[tuple[int, ...]]:
+def enumerate_population(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every vector of {1..n}^n, base-n digit order, bounded memory."""
-    if isinstance(spec, int):
-        spec = PopulationSpec(spec)
-    n = spec.n
+    _check_n(n)
     # digit order == base-n expansion of the universe index
     yield from itertools.product(range(1, n + 1), repeat=n)
 
@@ -142,7 +124,7 @@ def _gaussian_binomials(n: int) -> list[list[list[int]]]:
     return rows
 
 
-def exact_distance_distribution(spec: PopulationSpec | int) -> ExactDistribution:
+def exact_distance_distribution(n: int) -> ExactDistribution:
     """Tabulate s(X) = D - C against the ascending strict reference.
 
     Exact Python-int counts from the q-multinomial dynamic program in the
@@ -150,10 +132,8 @@ def exact_distance_distribution(spec: PopulationSpec | int) -> ExactDistribution
     reproduces the classical Kendall inversion distribution at twice the
     distance scale (tested, not assumed).
     """
-    if isinstance(spec, int):
-        spec = PopulationSpec(spec)
-    n = spec.n
-    m = spec.pair_count
+    _check_n(n)
+    m = n * (n - 1) // 2
     gauss = _gaussian_binomials(n)
     # words[L][i]: words of length L over the values added so far with
     # s = i - L(L-1)/2
@@ -178,7 +158,7 @@ def exact_distance_distribution(spec: PopulationSpec | int) -> ExactDistribution
     return ExactDistribution(n=n, support=support, counts=tuple(words[n]))
 
 
-def exact_moments(spec: PopulationSpec | int) -> tuple[Fraction, Fraction]:
+def exact_moments(n: int) -> tuple[Fraction, Fraction]:
     """(variance, standardized kurtosis) of the centered distance, exact."""
-    dist = exact_distance_distribution(spec)
+    dist = exact_distance_distribution(n)
     return dist.variance, dist.std_kurtosis

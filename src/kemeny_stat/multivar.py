@@ -3,9 +3,8 @@
 Builds pairwise rank-correlation matrices over data columns, scales them to
 rank covariances with the per-column pair-score spreads, and provides the
 Gaussian log-likelihood kernel used to compare candidate covariance models
-against the observed one.  Also hosts the smaller cross-scale converters
-(polychoric-style loadings, the tetrachoric cosine rule) and a dependence
-functional for the bivariate case.
+against the observed one.  Also hosts the tetrachoric cosine rule and a
+dependence functional for the bivariate case.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ __all__ = [
     "min_eigenvalue",
     "is_positive_definite",
     "loglik_kernel",
-    "full_log_likelihood",
-    "LoadingsSolution",
-    "polychoric_loadings",
     "tetrachoric_from_table",
     "HoeffdingResult",
     "hoeffding_h",
@@ -103,10 +99,6 @@ class DataMatrix:
                 f"no column {name!r}; available: {', '.join(self.columns)}"
             ) from None
         return self.values[:, idx]
-
-    def select(self, names: Sequence[str]) -> "DataMatrix":
-        cols = [self.column(n) for n in names]
-        return DataMatrix(np.column_stack(cols), names)
 
 
 CORRELATION_METHODS: dict[str, Callable] = {
@@ -199,41 +191,6 @@ def loglik_kernel(sigma: np.ndarray, sample_cov: np.ndarray) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     trace = float(np.trace(np.linalg.solve(sig, s)))
     return -logdet - trace
-
-
-def full_log_likelihood(sigma: np.ndarray, sample_cov: np.ndarray, n: int) -> float:
-    """Gaussian log-likelihood of n observations given their sample covariance."""
-    p = np.asarray(sigma).shape[0]
-    return -0.5 * p * n * math.log(2.0 * math.pi) + 0.5 * n * loglik_kernel(sigma, sample_cov)
-
-
-@dataclass(frozen=True)
-class LoadingsSolution:
-    """One-factor loadings reproducing a single correlation exactly."""
-
-    loading_x: float
-    loading_y: float
-    error_variance: float
-
-    @property
-    def reproduced(self) -> float:
-        return self.loading_x * self.loading_y
-
-
-def polychoric_loadings(rho: float) -> LoadingsSolution:
-    """Split a correlation into equal-magnitude one-factor loadings.
-
-    loading_x = sqrt(|rho|), loading_y = sign(rho) sqrt(|rho|), so the
-    product returns rho and each variable keeps error variance 1 - |rho|.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
-    root = math.sqrt(abs(rho))
-    return LoadingsSolution(
-        loading_x=root,
-        loading_y=math.copysign(root, rho) if rho != 0 else 0.0,
-        error_variance=1.0 - abs(rho),
-    )
 
 
 def tetrachoric_from_table(a: float, b: float, c: float, d: float) -> float:

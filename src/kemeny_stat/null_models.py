@@ -131,9 +131,9 @@ def _normal_upper(z: float) -> float:
 class NullTable:
     """Exact lattice null for the centred concordance count at sample size n.
 
-    Probabilities follow (q^2 - s^2)^alpha on the integers |s| <= min(m,
-    floor(q)), built in log space and renormalised; exactly symmetric, since
-    s^2 is exact.  ``support`` is ascending.
+    Probabilities follow (q^2 - s^2)^alpha on the integers |s| <= m, built
+    in log space and renormalised; exactly symmetric, since s^2 is exact.
+    ``support`` is ascending.
     """
 
     n: int
@@ -187,6 +187,8 @@ class NullTable:
 
     def standardized_cutoff(self, level: float = 0.05) -> float:
         """Upper quantile at 1 - level/2, on the unit-variance scale."""
+        if not 0.0 < level < 1.0:
+            raise DomainError(f"two-sided level must lie in (0, 1), got {level}")
         return self.quantile(1.0 - level / 2.0) / math.sqrt(self.variance)
 
     def to_json(self) -> str:
@@ -223,8 +225,9 @@ def null_table(n: int) -> NullTable:
 
     Refuses, before any float arithmetic or allocation, a lattice of more than
     :data:`NULL_TABLE_MAX_ENTRIES` support entries.  The support is |s| <= m,
-    2m + 1 entries (q exceeds m at every n the budget admits), so the budget
-    is checked on that exact integer.
+    2m + 1 entries, so the budget is checked on that exact integer.  The
+    kernel's half-width q never cuts it short: q^2 = mu2 (2 alpha + 3)
+    exceeds m^2 at every n >= 3.
     """
     n = int(n)
     m = n * (n - 1) // 2
@@ -238,10 +241,7 @@ def null_table(n: int) -> NullTable:
     mu2 = float(population_variance(n))
     kurt = implied_std_kurtosis(alpha)
     q = q_from_moments(mu2, kurt * mu2 * mu2)
-    smax = min(m, int(math.floor(q)))
-    while smax > 0 and q * q - smax * smax <= 0.0:
-        smax -= 1
-    support = np.arange(-smax, smax + 1, dtype=np.int64)
+    support = np.arange(-m, m + 1, dtype=np.int64)
     # one buffer, updated in place; s^2 is exact, so p[i] == p[-1 - i]
     # bit for bit
     p = support.astype(float)

@@ -68,7 +68,8 @@ def _calibration_extras(columns: dict[str, np.ndarray]) -> dict:
 def _ratio_extras(columns: dict[str, np.ndarray]) -> dict:
     mk = abs(float(columns["z_kendall_b"].mean()))
     mq = abs(float(columns["z_kemeny"].mean()))
-    return {"mean_ratio_kendall_over_kemeny": mk / mq if mq > 0 else math.inf}
+    # None (JSON null) where the kemeny mean is 0 and the ratio is undefined
+    return {"mean_ratio_kendall_over_kemeny": mk / mq if mq > 0 else None}
 
 
 # the z statistics do not depend on the null; "normal" keeps the lattice out
@@ -380,5 +381,6 @@ def render_text(report: SimulationReport) -> str:
                 f"{row['skew']:>8.4f} {row['excess_kurtosis']:>8.4f}  {ref_txt}"
             )
         for key, value in sorted(block["extras"].items()):
-            lines.append(f"{'':>6} {key}: {value:.6f}")
+            shown = "n/a" if value is None else f"{value:.6f}"
+            lines.append(f"{'':>6} {key}: {shown}")
     return "\n".join(lines) + "\n"

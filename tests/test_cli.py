@@ -10,7 +10,7 @@ import pytest
 from kemeny_stat import null_models
 from kemeny_stat.cli import build_parser, main
 from kemeny_stat.null_models import NullTable
-from kemeny_stat.simulate import default_config, run_simulation
+from kemeny_stat.simulate import EXPERIMENTS, default_config, run_simulation
 
 
 @pytest.fixture()
@@ -242,6 +242,12 @@ class TestNulls:
         assert "1.9500" in out
         assert "alpha" in out
 
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
+    def test_level_outside_the_unit_interval_is_numeric_error(self, capsys, level):
+        code, out, err = run_cli(capsys, "nulls", "15", "--level", level)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric error: two-sided level must lie in (0, 1), got ")
+
 
 class TestSimulate:
     def test_seed_required(self, capsys):
@@ -421,3 +427,28 @@ def test_help_of_one_command_matches_the_full_parser(capsys, command):
         _help(full, other, capsys)
     assert _help(full, command, capsys) == alone
     assert alone.startswith(f"usage: kemeny-stat {command} [-h] [--json] [--out PATH]")
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# "CSV" stands for the csv_path fixture
+STRICT_JSON_RUNS = [
+    ("correlate", "CSV"),
+    *(("test", "CSV", "--method", method) for method in ("kemeny", "kendall-b", "spearman")),
+    ("matrix", "CSV"),
+    ("enumerate", "4"),
+    ("nulls", "15"),
+    ("consistency-report", "--oracle-n", "3"),
+    *(("simulate", "--experiment", name, "--seed", "1", "--reps", "5") for name in EXPERIMENTS),
+    # both z means are 0 here, so the kendall/kemeny ratio is undefined
+    ("simulate", "--experiment", "table3", "--seed", "1", "--reps", "2", "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", STRICT_JSON_RUNS, ids="-".join)
+def test_every_command_prints_strict_json(capsys, csv_path, argv):
+    code, out, _ = run_cli(capsys, *(csv_path if a == "CSV" else a for a in argv), "--json")
+    assert code == 0
+    json.loads(out, parse_constant=_not_json)

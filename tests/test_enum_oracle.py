@@ -18,7 +18,6 @@ from kemeny_stat import kemeny_distance_affine, pair_stats
 from kemeny_stat.enum_oracle import (
     MAX_ENUM_N,
     ExactDistribution,
-    PopulationSpec,
     enumerate_population,
     exact_distance_distribution,
     exact_moments,
@@ -49,15 +48,18 @@ def _brute_force_counts(n: int, chunk_size: int = 1 << 17) -> tuple[int, ...]:
 
 
 class TestPopulationSpec:
+    """The population {1..n}^n: the n range every oracle accepts, and its size."""
+
     def test_bounds(self):
-        with pytest.raises(DomainError):
-            PopulationSpec(1)
-        with pytest.raises(DomainError):
-            PopulationSpec(MAX_ENUM_N + 1)
+        for oracle in (enumerate_population, exact_distance_distribution, exact_moments):
+            for n in (1, MAX_ENUM_N + 1):
+                with pytest.raises(DomainError, match=f"2 <= n <= {MAX_ENUM_N}, got {n}"):
+                    list(oracle(n))  # the generator checks n on its first step
 
     def test_size(self):
-        assert PopulationSpec(3).size == 27
-        assert PopulationSpec(5).size == 3125
+        for n, size in ((3, 27), (5, 3125)):
+            dist = exact_distance_distribution(n)
+            assert dist.total == sum(dist.counts) == size
 
 
 class TestEnumeratePopulation:

@@ -55,12 +55,6 @@ class TestDataMatrix:
         with pytest.raises(DataError, match="left, right"):
             dm.column("middle")
 
-    def test_select(self):
-        dm = mv.DataMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ["a", "b", "c"])
-        sub = dm.select(["c", "a"])
-        assert sub.columns == ("c", "a")
-        assert np.array_equal(sub.values[:, 0], [3.0, 6.0])
-
 
 class TestCorrelationMatrix:
     @pytest.fixture
@@ -151,27 +145,6 @@ class TestLoglik:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             mv.loglik_kernel(np.eye(2), np.eye(3))
-
-    def test_full_log_likelihood_scaling(self):
-        rng = np.random.default_rng(2)
-        s = random_spd(rng, 3)
-        k = mv.loglik_kernel(s, s)
-        n = 40
-        want = -0.5 * 3 * n * math.log(2 * math.pi) + 0.5 * n * k
-        assert mv.full_log_likelihood(s, s, n) == pytest.approx(want, rel=1e-12)
-
-
-class TestLoadings:
-    @pytest.mark.parametrize("rho", [-1.0, -0.49, 0.0, 0.3, 1.0])
-    def test_reproduces_correlation(self, rho):
-        sol = mv.polychoric_loadings(rho)
-        assert sol.reproduced == pytest.approx(rho, abs=1e-15)
-        assert sol.error_variance == pytest.approx(1.0 - abs(rho))
-        assert sol.loading_x >= 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            mv.polychoric_loadings(1.5)
 
 
 class TestTetrachoric:

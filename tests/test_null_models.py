@@ -235,6 +235,11 @@ class TestNullTable:
         got = nm.null_table(15).standardized_cutoff(0.05)
         assert got == pytest.approx(TWO_SIDED_CUTOFF_N15, abs=0.02)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.05, math.nan])
+    def test_standardized_cutoff_needs_a_level_in_the_unit_interval(self, level):
+        with pytest.raises(DomainError, match=f"level must lie in \\(0, 1\\), got {level}"):
+            nm.null_table(15).standardized_cutoff(level)
+
     def test_tabulated_cutoff_appears_at_n5(self):
         assert nm.null_table(5).standardized_cutoff(0.05) == pytest.approx(1.8514, abs=2e-3)
 
@@ -263,14 +268,21 @@ class TestNullTable:
             nm.null_table(2)
 
     def test_budget_is_checked_on_the_exact_support(self):
-        # q > m wherever the budget admits a table, so the lattice is |s| <= m
-        # and its 2m + 1 entries decide the refusal before any float arithmetic
+        # q > m wherever the budget admits a table, exactly (q^2 = mu2 (2 alpha
+        # + 3) > m^2) and in the floats null_table computes, so the lattice is
+        # |s| <= m and its 2m + 1 entries decide the refusal before any float
+        # arithmetic
         for n in range(3, 2898):
+            m = n * (n - 1) // 2
+            assert nm.population_variance(n) * (2 * nm.alpha_of_n(n) + 3) > m * m
             alpha = float(nm.alpha_of_n(n))
             mu2 = float(nm.population_variance(n))
             kurt = nm.implied_std_kurtosis(alpha)
-            assert nm.q_from_moments(mu2, kurt * mu2 * mu2) > n * (n - 1) // 2
-        assert nm.null_table(15).support.size == 2 * 105 + 1
+            q = nm.q_from_moments(mu2, kurt * mu2 * mu2)
+            assert q > m and q * q - m * m > 0.0
+        for n in (3, 4, 15, 60):
+            m = n * (n - 1) // 2
+            assert np.array_equal(nm.null_table(n).support, np.arange(-m, m + 1))
         assert 2 * (2896 * 2895 // 2) + 1 <= nm.NULL_TABLE_MAX_ENTRIES
         with pytest.raises(DomainError, match="n=2897 needs 8389713 support entries"):
             nm.null_table(2897)

@@ -208,6 +208,14 @@ class TestExperiments:
         block = sim.run_simulation(cfg).results[0]
         assert block["extras"]["mean_ratio_kendall_over_kemeny"] > 1.0
 
+    def test_table3_ratio_undefined_at_zero_kemeny_mean(self):
+        # at n = 2 both z means can be 0: the ratio is null in JSON, n/a in text
+        cfg = sim.default_config("table3", seed=1, replications=2, n_values=(2,))
+        report = sim.run_simulation(cfg)
+        assert report.results[0]["extras"] == {"mean_ratio_kendall_over_kemeny": None}
+        assert '"mean_ratio_kendall_over_kemeny": null' in report.to_json()
+        assert "mean_ratio_kendall_over_kemeny: n/a" in sim.render_text(report)
+
     def test_table5_reference_attached(self):
         cfg = sim.default_config("table5", seed=23, replications=60)
         row = sim.run_simulation(cfg).rows(100)["z_spearman"]
