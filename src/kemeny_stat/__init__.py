@@ -40,7 +40,6 @@ _EXPORTS = {
         "kemeny_variance",
         "rank_vector",
         "spearman_rho",
-        "spearman_distance",
         "arcsine_r",
         "kendall_tau_b",
         "greiner_sin",
@@ -65,13 +64,10 @@ _EXPORTS = {
         "CORRELATION_METHODS",
         "RankCorrMatrix",
         "correlation_matrix",
-        "scale_to_covariance",
         "min_eigenvalue",
         "is_positive_definite",
         "loglik_kernel",
         "tetrachoric_from_table",
-        "HoeffdingResult",
-        "hoeffding_h",
     ),
     "dataio": ("load_csv",),
     "simulate": (

@@ -393,6 +393,8 @@ def _cmd_nulls(args) -> None:
     from .null_models import null_table
 
     table = null_table(args.n)
+    # before the JSON branch, so that both modes refuse a level outside (0, 1)
+    cutoff = table.standardized_cutoff(args.level)
     if args.json:
         # the table's own serialization round-trips through from_json
         _write(args, table.to_json() + "\n")
@@ -409,7 +411,7 @@ def _cmd_nulls(args) -> None:
         "std_kurtosis": table.std_kurtosis,
         "excess_kurtosis": table.excess_kurtosis,
         "level": args.level,
-        "cutoff": table.standardized_cutoff(args.level),
+        "cutoff": cutoff,
     }
     _write(args, _render_nulls(payload))
 

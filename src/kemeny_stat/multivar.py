@@ -1,31 +1,28 @@
 """Multivariate rank-correlation machinery.
 
-Builds pairwise rank-correlation matrices over data columns, scales them to
-rank covariances with the per-column pair-score spreads, and provides the
-Gaussian log-likelihood kernel used to compare candidate covariance models
-against the observed one.  Also hosts the tetrachoric cosine rule and a
-dependence functional for the bivariate case.
+Builds pairwise rank-correlation matrices over data columns, with the
+per-column pair-score spreads, and provides the Gaussian log-likelihood
+kernel used to compare candidate covariance models against the observed one.
+Also hosts the tetrachoric cosine rule for a 2x2 table.  Every route here is
+O(n log n) per column pair; the one n x n route left in the package is the
+``pair_stats(method="quadratic")`` oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, DecompositionError, DomainError
 from .rank_core import (
     ScoreVector,
-    _exact_dot,
-    _signs,
     arcsine_r,
-    as_score_vector,
     kemeny_tau,
     kemeny_variance,
     kendall_tau_b,
-    rank_vector,
     spearman_rho,
 )
 
@@ -34,13 +31,10 @@ __all__ = [
     "RankCorrMatrix",
     "CORRELATION_METHODS",
     "correlation_matrix",
-    "scale_to_covariance",
     "min_eigenvalue",
     "is_positive_definite",
     "loglik_kernel",
     "tetrachoric_from_table",
-    "HoeffdingResult",
-    "hoeffding_h",
 ]
 
 
@@ -147,12 +141,6 @@ def correlation_matrix(data: DataMatrix, method: str = "kemeny_tau") -> RankCorr
     )
 
 
-def scale_to_covariance(corr: RankCorrMatrix) -> np.ndarray:
-    """Rank covariance D Xi D with D = diag of the pair-score spreads."""
-    d = corr.sigmas
-    return d[:, None] * corr.matrix * d[None, :]
-
-
 def _check_square_symmetric(mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -216,56 +204,3 @@ def tetrachoric_from_table(a: float, b: float, c: float, d: float) -> float:
     if b * c == 0:
         return 1.0
     return math.cos(math.pi / (1.0 + math.sqrt((a * d) / (b * c))))
-
-
-@dataclass(frozen=True)
-class HoeffdingResult:
-    """Dependence functional value with an optional permutation p-value."""
-
-    statistic: float
-    p_value: float | None
-    permutations: int
-
-
-def hoeffding_h(
-    x: Iterable[float],
-    y: Iterable[float],
-    *,
-    permutations: int = 0,
-    seed: int = 0,
-) -> HoeffdingResult:
-    """Mean squared gap between the joint and product midrank empirical CDFs.
-
-    With h(t) = (sign(t) + 1)/2 scoring each ordered comparison, computes
-    H = (1/n) sum_i (F12(i) - F1(i) F2(i))^2, which is zero for any
-    factorising dependence structure (including a constant margin) and
-    invariant under strictly increasing maps of either margin.  A positive
-    ``permutations`` count adds a one-sided permutation p-value with
-    add-one smoothing.
-
-    With a_k, b_k the row sums of the sign matrices of x and y and g_k those
-    of their product, the gap is (n g_k - a_k b_k) / (4 n^2), so H has an
-    exact integer numerator and permutations that tie it count as hits.
-    """
-    vx = as_score_vector(x)
-    sx = _signs(vx.values, "hoeffding_h")
-    vy = as_score_vector(y)
-    sy = _signs(vy.values, "hoeffding_h")
-    n = vx.n
-    if vy.n != n:
-        raise DataError(f"length mismatch: {n} vs {vy.n}")
-    a = -rank_vector(vx).counts
-    b = -rank_vector(vy).counts
-
-    def numerator(sy: np.ndarray, b: np.ndarray) -> int:
-        gap = n * (sx * sy).sum(axis=1, dtype=np.int64) - a * b
-        return _exact_dot(gap, gap)
-
-    observed = numerator(sy, b)
-    p = None
-    if permutations > 0:
-        rng = np.random.default_rng(seed)
-        perms = (rng.permutation(n) for _ in range(permutations))
-        hits = sum(numerator(sy[np.ix_(perm, perm)], b[perm]) >= observed for perm in perms)
-        p = (1.0 + hits) / (1.0 + permutations)
-    return HoeffdingResult(observed / (16 * n**5), p, max(permutations, 0))

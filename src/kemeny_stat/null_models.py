@@ -28,7 +28,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import DegenerateError, DomainError
-from .rank_core import ScoreVector, as_score_vector, pair_stats, spearman_rho, tie_block_sizes
+from .rank_core import ScoreVector, as_score_vector, pair_stats, spearman_rho
 from .reference import SPEARMAN_STD_KURTOSIS_BY_N
 
 __all__ = [
@@ -416,23 +416,10 @@ def z_kemeny(
 def _kendall_b_variance(
     x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
 ) -> float:
-    """Tie-adjusted null variance of C - D, from the tie blocks of x and y."""
+    """Tie-adjusted null variance of C - D, from the tie sums of x and y."""
     x, y = as_score_vector(x), as_score_vector(y)
-
-    def block_sums(v):
-        # exact Python ints (t^3 wraps int64 once a block passes ~1.66e6),
-        # one term per distinct block size t >= 2: at most sqrt(2n) of them
-        mult = np.bincount(tie_block_sizes(v))
-        t2 = t3 = t5 = 0
-        for t in (np.flatnonzero(mult[2:]) + 2).tolist():
-            pairs = int(mult[t]) * t * (t - 1)
-            t2 += pairs
-            t3 += pairs * (t - 2)
-            t5 += pairs * (2 * t + 5)
-        return t2, t3, t5
-
-    tx2, tx3, vt = block_sums(x)
-    ty2, ty3, vu = block_sums(y)
+    tx2, tx3, vt = x._tie_sums
+    ty2, ty3, vu = y._tie_sums
     n = x.n
     v0 = n * (n - 1) * (2 * n + 5)
     v1 = tx2 * ty2 / (2.0 * n * (n - 1))

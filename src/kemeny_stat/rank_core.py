@@ -24,7 +24,9 @@ all-tied vectors sit at distance m, not 0.  The exact variant d* repairs that
 
 Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
 rejected at construction.  Each vector is ranked once into dense codes and
-tie-block sizes, by one argsort and the runs of the sorted values.  Pair
+tie-block sizes, by one argsort and the runs of the sorted values, and keeps
+the summary every formula reads: its rank image with the image's exact
+squared norm, and its exact tie sums.  Pair
 classification reads tie totals from block sizes, the jointly tied total from
 the runs of the sorted joint codes, and counts discordances as strict
 inversions of the y codes, one stable argsort per bit of the codes.  Each pair
@@ -60,7 +62,6 @@ __all__ = [
     "kemeny_variance",
     "rank_vector",
     "spearman_rho",
-    "spearman_distance",
     "arcsine_r",
     "kendall_tau_b",
     "greiner_sin",
@@ -70,9 +71,9 @@ __all__ = [
 #: The analytic scale sqrt(1/2) of a single pair score.
 SCALE: float = math.sqrt(0.5)
 
-#: Largest n the O(n^2) routes take: ``pair_stats(method="quadratic")`` and
-#: ``multivar.hoeffding_h``.  They peak at about 6 and 4 B per n x n cell, so
-#: at most 150 MB here; past it they raise DataError before allocating anything.
+#: Largest n the O(n^2) route ``pair_stats(method="quadratic")`` takes.  It
+#: peaks at about 6 B per n x n cell, so at most 150 MB here; past it it raises
+#: DataError before allocating anything.
 PAIRWISE_MAX_N: int = 5000
 
 
@@ -118,6 +119,31 @@ class ScoreVector:
         codes, sizes = _dense(self.values)
         codes.flags.writeable = sizes.flags.writeable = False
         return codes, sizes
+
+    @functools.cached_property
+    def _image(self) -> tuple[RankVector, int]:
+        """The rank image :func:`rank_vector` returns, with read-only counts,
+        and its exact squared norm; built from the tie blocks on first use."""
+        codes, sizes = self.ranks
+        less = np.cumsum(sizes) - sizes
+        net = (self.n - sizes - less) - less  # (#greater) - (#less) per tie block
+        counts = net[codes]
+        counts.flags.writeable = False
+        return RankVector(counts), _exact_dot(counts, counts)
+
+    @functools.cached_property
+    def _tie_sums(self) -> tuple[int, int, int]:
+        """Sums of t(t-1), t(t-1)(t-2) and t(t-1)(2t+5) over the tie-block
+        sizes t, as exact Python ints (t^3 wraps int64 once a block passes
+        ~1.66e6): one term per distinct size t >= 2, at most sqrt(2n) of them."""
+        mult = np.bincount(tie_block_sizes(self))
+        t2 = t3 = t5 = 0
+        for t in (np.flatnonzero(mult[2:]) + 2).tolist():
+            pairs = int(mult[t]) * t * (t - 1)
+            t2 += pairs
+            t3 += pairs * (t - 2)
+            t5 += pairs * (2 * t + 5)
+        return t2, t3, t5
 
 
 def as_score_vector(x: ScoreVector | Iterable[float] | np.ndarray) -> ScoreVector:
@@ -413,13 +439,10 @@ def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
 
     ``counts[l] = #{x_k > x_l} - #{x_k < x_l}``; for a strict vector the
     sorted counts are n+1-2r for ranks r = 1..n.  Computed by sorting, not by
-    the O(n^2) score matrix.
+    the O(n^2) score matrix, once per :class:`ScoreVector`; the counts are
+    read-only.
     """
-    v = as_score_vector(x)
-    codes, sizes = v.ranks
-    less = np.cumsum(sizes) - sizes
-    net = (v.n - sizes - less) - less  # (#greater) - (#less) per tie block
-    return RankVector(counts=net[codes])
+    return as_score_vector(x)._image[0]
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -428,18 +451,6 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     bound = 1 + int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
     step = max(1, np.iinfo(np.int64).max // bound)
     return sum(int(np.dot(a[i : i + step], b[i : i + step])) for i in range(0, a.size, step))
-
-
-def _rank_dots(
-    x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
-) -> tuple[int, int, int]:
-    kx = rank_vector(x).counts
-    ky = rank_vector(y).counts
-    if kx.size != ky.size:
-        raise DataError(
-            f"length mismatch: x has {kx.size} observations, y has {ky.size}"
-        )
-    return _exact_dot(kx, ky), _exact_dot(kx, kx), _exact_dot(ky, ky)
 
 
 def spearman_rho(
@@ -451,7 +462,11 @@ def spearman_rho(
     classical average-rank Spearman coefficient, ties included.  Constant
     inputs have no direction and raise.
     """
-    sxy, sxx, syy = _rank_dots(x, y)
+    vx, vy = as_score_vector(x), as_score_vector(y)
+    if vx.n != vy.n:
+        raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
+    sxy = _exact_dot(rank_vector(vx).counts, rank_vector(vy).counts)
+    sxx, syy = vx._image[1], vy._image[1]
     if sxx == 0 or syy == 0:
         which = "x" if sxx == 0 else "y"
         raise DegenerateError(
@@ -462,17 +477,6 @@ def spearman_rho(
     prod = sxx * syy
     root = math.isqrt(prod)
     return sxy / (root if root * root == prod else math.sqrt(prod))
-
-
-def spearman_distance(
-    x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
-) -> float:
-    """Euclidean distance on normalized rank images: sqrt(2) sqrt(1 - rho_s).
-
-    0 at rho_s = 1, 2 at rho_s = -1.
-    """
-    rho = spearman_rho(x, y)
-    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - rho))
 
 
 def arcsine_r(
@@ -514,11 +518,13 @@ def greiner_sin(t: float) -> float:
 
 
 def _midranks(x) -> np.ndarray:
-    """Classical average ranks, 1-based; the textbook Spearman route."""
-    codes, sizes = as_score_vector(x).ranks
-    ends = np.cumsum(sizes)
-    mid = 0.5 * (ends - sizes + 1 + ends)
-    return mid[codes]
+    """Classical average ranks, 1-based; the textbook Spearman route.
+
+    A block of t ties ending at rank e has midrank (2e - t + 1)/2, and its
+    rank-image count is n + t - 2e, so the midranks are (n + 1 - counts)/2.
+    """
+    v = as_score_vector(x)
+    return 0.5 * (v.n + 1 - rank_vector(v).counts)
 
 
 def _classical_spearman(x, y) -> float:

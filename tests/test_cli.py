@@ -244,9 +244,10 @@ class TestNulls:
 
     @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
     def test_level_outside_the_unit_interval_is_numeric_error(self, capsys, level):
-        code, out, err = run_cli(capsys, "nulls", "15", "--level", level)
-        assert (code, out) == (3, "")
-        assert err.startswith("numeric error: two-sided level must lie in (0, 1), got ")
+        for mode in ((), ("--json",)):
+            code, out, err = run_cli(capsys, "nulls", "15", "--level", level, *mode)
+            assert (code, out) == (3, "")
+            assert err.startswith("numeric error: two-sided level must lie in (0, 1), got ")
 
 
 class TestSimulate:

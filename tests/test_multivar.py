@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,16 +81,6 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             mv.correlation_matrix(data, "pearson")
 
-    def test_scale_to_covariance_by_hand(self):
-        corr = mv.RankCorrMatrix(
-            matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
-            method="kemeny_tau",
-            columns=("a", "b"),
-            sigmas=np.array([2.0, 3.0]),
-        )
-        cov = mv.scale_to_covariance(corr)
-        assert np.array_equal(cov, [[4.0, 3.0], [3.0, 9.0]])
-
 
 class TestEigen:
     def test_min_eigenvalue_diagonal(self):
@@ -171,107 +160,3 @@ class TestTetrachoric:
             mv.tetrachoric_from_table(-1, 2, 3, 4)
         with pytest.raises(DataError):
             mv.tetrachoric_from_table(0, 0, 0, 0)
-
-
-class TestHoeffding:
-    def brute_force(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        n = len(x)
-
-        def h(t):
-            return 0.5 * (np.sign(t) + 1.0)
-
-        total = 0.0
-        for i in range(n):
-            f1 = sum(h(x[i] - x[j]) for j in range(n)) / n
-            f2 = sum(h(y[i] - y[j]) for j in range(n)) / n
-            f12 = sum(h(x[i] - x[j]) * h(y[i] - y[j]) for j in range(n)) / n
-            total += (f12 - f1 * f2) ** 2
-        return total / n
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(3, 15))
-            x = rng.integers(0, 4, n).astype(float)
-            y = rng.integers(0, 4, n).astype(float)
-            got = mv.hoeffding_h(x, y).statistic
-            assert got == pytest.approx(self.brute_force(x, y), rel=1e-12)
-
-    def test_constant_margin_is_zero(self):
-        x = np.arange(12.0)
-        assert mv.hoeffding_h(x, np.ones(12)).statistic == 0.0
-
-    def test_monotone_invariance(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=25)
-        y = rng.normal(size=25) + 0.5 * x
-        base = mv.hoeffding_h(x, y).statistic
-        assert mv.hoeffding_h(np.exp(x), y).statistic == base
-        assert mv.hoeffding_h(x, 3.0 * y - 7.0).statistic == base
-
-    def test_dependence_detected(self):
-        x = np.arange(30.0)
-        res = mv.hoeffding_h(x, x, permutations=99, seed=1)
-        assert res.statistic > 0.01
-        assert res.p_value == pytest.approx(1.0 / 100.0)
-
-    def test_independence_not_flagged(self):
-        rng = np.random.default_rng(23)
-        res = mv.hoeffding_h(
-            rng.normal(size=40), rng.normal(size=40), permutations=199, seed=2
-        )
-        assert res.p_value > 0.05
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=20)
-        y = rng.normal(size=20)
-        a = mv.hoeffding_h(x, y, permutations=50, seed=7)
-        b = mv.hoeffding_h(x, y, permutations=50, seed=7)
-        assert a.p_value == b.p_value
-
-    def test_permutations_tying_observed_count_as_hits(self):
-        def exact(x, y):
-            n = len(x)
-
-            def h(t):
-                return Fraction((t > 0) - (t < 0) + 1, 2)
-
-            total = Fraction(0)
-            for i in range(n):
-                f1 = sum(h(x[i] - x[j]) for j in range(n)) / n
-                f2 = sum(h(y[i] - y[j]) for j in range(n)) / n
-                f12 = sum(h(x[i] - x[j]) * h(y[i] - y[j]) for j in range(n)) / n
-                total += (f12 - f1 * f2) ** 2
-            return total / n
-
-        x, y = [4, 2, 1, 4, 1], [6, 5, 3, 4, 1]
-        observed = exact(x, y)
-        rng = np.random.default_rng(3)
-        perms = [rng.permutation(5) for _ in range(30)]
-        hits = sum(exact(x, [y[k] for k in perm]) >= observed for perm in perms)
-        # two of the 30 tie the observed H exactly
-        assert hits == 7
-        res = mv.hoeffding_h(x, y, permutations=30, seed=3)
-        assert res.p_value == (1 + hits) / 31
-        assert res.statistic == float(observed)
-
-    def test_numerator_exact_past_int64(self):
-        # at n = PAIRWISE_MAX_N the gaps reach 2 n^2 and their squares sum past int64
-        n = rc.PAIRWISE_MAX_N
-        gap = np.full(n, 2 * n * n - 1, dtype=np.int64)
-        gap[::2] *= -1
-        assert n * (2 * n * n - 1) ** 2 > np.iinfo(np.int64).max
-        assert rc._exact_dot(gap, gap) == n * (2 * n * n - 1) ** 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            mv.hoeffding_h([1.0, 2.0, 3.0], [1.0, 2.0])
-
-    def test_refuses_large_n_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(rc, "PAIRWISE_MAX_N", 10)
-        with pytest.raises(DataError, match="hoeffding_h.*n = 11"):
-            mv.hoeffding_h(np.arange(11.0), np.arange(11.0))
-        assert mv.hoeffding_h(np.arange(10.0), np.arange(10.0)).statistic > 0

@@ -39,7 +39,6 @@ from kemeny_stat import (
     pair_stats,
     rank_vector,
     spearman_rho,
-    spearman_distance,
     z_kemeny,
     z_kendall_b,
     z_spearman,
@@ -399,17 +398,6 @@ class TestSpearman:
         x = np.arange(3_200_000, dtype=float)
         assert spearman_rho(x, x) == 1.0
 
-    def test_distance_endpoints(self):
-        assert spearman_distance([1, 2, 3], [5, 6, 7]) == pytest.approx(0.0)
-        assert spearman_distance([1, 2, 3], [3, 2, 1]) == pytest.approx(2.0)
-
-    def test_distance_mid(self):
-        # rho = 0.5 -> sqrt(2) * sqrt(0.5) = 1
-        x = [1, 2, 3, 4, 5]
-        y = [3, 2, 1, 5, 4]  # sum d^2 = 10 -> rho_s = 1 - 60/120 = 0.5
-        assert spearman_rho(x, y) == pytest.approx(0.5)
-        assert spearman_distance(x, y) == pytest.approx(1.0)
-
 
 class TestArcsineAndSin:
     def test_arcsine_anchors(self):
@@ -538,7 +526,7 @@ def _outcome(fn, *args):
 
 PAIR_FUNCTIONS = (
     pair_stats, kemeny_distance_affine, kemeny_distance_exact, kemeny_tau, spearman_rho,
-    spearman_distance, arcsine_r, kendall_tau_b, z_kemeny, z_kendall_b, z_spearman,
+    arcsine_r, kendall_tau_b, z_kemeny, z_kendall_b, z_spearman,
 )
 
 
@@ -615,6 +603,53 @@ class TestRankEachColumnOnce:
         path.write_text("a,b\n" + "".join(f"{i % 4},{i % 5}\n" for i in range(40)))
         assert cli.main([argv[0], str(path), *argv[1:]]) == 0
         assert len(rankings) == count
+
+
+class TestOneSummaryPerColumn:
+    """The rank image with its squared norm, and the tie sums, each built once
+    per ScoreVector and read by every formula that needs them."""
+
+    @pytest.mark.parametrize("method", ["spearman", "arcsine_r"])
+    def test_correlation_matrix_builds_each_image_once(self, monkeypatch, method):
+        built = []
+        monkeypatch.setattr(
+            rank_core, "RankVector", lambda counts: built.append(counts.size) or RankVector(counts)
+        )
+        data = DataMatrix(np.random.default_rng(67).integers(1, 6, (300, 6)).astype(float))
+        correlation_matrix(data, method)
+        assert built == [300] * 6  # one per column, not two per pair (30)
+
+    def test_rank_vector_is_kept_and_read_only(self):
+        v = ScoreVector([3.0, 1.0, 3.0, -INF, 2.0])
+        rv = rank_vector(v)
+        assert rank_vector(v) is rv
+        assert rv.counts.tolist() == [-3, 2, -3, 4, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            rv.counts[0] = 0
+
+    def test_midranks_match_block_formula_bit_for_bit(self):
+        # the block formula (2 ends - sizes + 1)/2 they replaced
+        rng = np.random.default_rng(73)
+        pairs = [fuzz_pair(rng) for _ in range(300)]
+        pairs.append((np.array([-0.0, 0.0, INF, -INF, INF]), None))
+        for x, _ in pairs:
+            codes, sizes = ScoreVector(x).ranks
+            ends = np.cumsum(sizes)
+            old = 0.5 * (ends - sizes + 1 + ends)[codes]
+            got = rank_core._midranks(x)
+            assert got.dtype == old.dtype and got.tobytes() == old.tobytes()
+
+    def test_tie_sums_built_once_across_z_kendall_b_calls(self, monkeypatch):
+        calls = []
+        sizes = rank_core.tie_block_sizes
+        monkeypatch.setattr(rank_core, "tie_block_sizes", lambda v: calls.append(v) or sizes(v))
+        rng = np.random.default_rng(79)
+        x, y = ScoreVector(rng.integers(0, 4, 60)), ScoreVector(rng.integers(0, 5, 60))
+        first = z_kendall_b(x, y).as_dict()
+        for _ in range(3):
+            assert z_kendall_b(x, y).as_dict() == first
+            z_kendall_b(y, x)
+        assert calls == [x, y]
 
 
 class TestCountEachPairOnce:
