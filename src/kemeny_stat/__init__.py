@@ -51,7 +51,6 @@ _EXPORTS = {
         "q_from_moments",
         "NullTable",
         "null_table",
-        "SpearmanNull",
         "spearman_null",
         "TestResult",
         "z_kemeny",

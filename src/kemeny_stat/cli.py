@@ -308,7 +308,7 @@ def _cmd_enumerate(args) -> None:
 # simulate
 
 def _simulate_arguments(p) -> None:
-    from .simulate import EXPERIMENTS
+    from .simulate import _POPULATIONS, EXPERIMENTS
 
     p.add_argument("--seed", type=int, metavar="INT",
                    help="RNG seed (required by simulate)")
@@ -319,9 +319,7 @@ def _simulate_arguments(p) -> None:
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--n", type=int, nargs="+", metavar="INT",
                    help="vector lengths override")
-    p.add_argument("--population",
-                   choices=["bivariate_normal", "discretized_normal",
-                            "resample"])
+    p.add_argument("--population", choices=list(_POPULATIONS))
     p.add_argument("--rho", type=float, metavar="R",
                    help="population correlation override")
     p.add_argument("--levels", type=int, metavar="INT",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
-from .enum_oracle import MAX_ENUM_N, exact_moments
+from .enum_oracle import _check_n, exact_moments
 from .errors import DomainError
 from .null_models import alpha_of_n, implied_std_kurtosis, null_table, population_variance
 from .reference import (
@@ -190,8 +190,7 @@ def _row(quantity: str, n: int | None = None, *, note: str = "", **values) -> di
 
 def consistency_report(max_oracle_n: int = 6) -> dict:
     """Build the full structured comparison table."""
-    if not 2 <= max_oracle_n <= MAX_ENUM_N:
-        raise ValueError(f"oracle range is 2..{MAX_ENUM_N}")
+    _check_n(max_oracle_n)
     oracle: dict[int, tuple[Fraction, Fraction]] = {
         n: exact_moments(n) for n in range(2, max_oracle_n + 1)
     }

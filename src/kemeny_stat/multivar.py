@@ -77,6 +77,11 @@ class DataMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DataMatrix is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, which is the
+        # only way to set the slots
+        return DataMatrix, (self.values, self.columns)
+
     @property
     def n(self) -> int:
         return self.values.shape[0]

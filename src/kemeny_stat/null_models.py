@@ -4,9 +4,12 @@ The centred concordance count S = C - D of two independent columns drawn
 uniformly from the tied permutation population has mean zero, the exact
 variance given by :func:`population_variance`, and a symmetric platykurtic
 shape that a two-parameter power kernel (q^2 - s^2)^alpha captures on the
-integer lattice |s| <= m.  This module builds that lattice null, the
-matching continuous kernel for the midrank correlation, and the z tests
-that consume them.  Everything here is closed-form or quadrature; the
+integer lattice |s| <= m.  The null of the midrank correlation is the same
+kernel on a quadrature grid of z = rho_S sqrt(n - 1).  This module has one
+null type, :class:`NullTable`, and one builder that evaluates the kernel in
+log space on a support; :func:`null_table` and :func:`spearman_null` only
+choose the support and the shape.  It also holds the z tests that consume
+them.  Everything here is closed-form or quadrature; the
 transcribed and fitted formulas the report audits, and the enumeration
 cross-checks, live in tests and in :mod:`kemeny_stat.consistency`.
 
@@ -39,7 +42,6 @@ __all__ = [
     "q_from_moments",
     "NullTable",
     "null_table",
-    "SpearmanNull",
     "spearman_null",
     "TestResult",
     "z_kemeny",
@@ -129,11 +131,13 @@ def _normal_upper(z: float) -> float:
 
 @dataclass(frozen=True)
 class NullTable:
-    """Exact lattice null for the centred concordance count at sample size n.
+    """A symmetric power-kernel null: probabilities follow (q^2 - x^2)^alpha
+    on the ascending ``support``, renormalised.
 
-    Probabilities follow (q^2 - s^2)^alpha on the integers |s| <= m, built
-    in log space and renormalised; exactly symmetric, since s^2 is exact.
-    ``support`` is ascending.
+    :func:`null_table` puts it on the integer lattice |s| <= m of the
+    centred concordance count at sample size n; :func:`spearman_null` on a
+    midpoint grid of z = rho_S sqrt(n - 1).  The table owns its arrays: it
+    marks them read-only, since it caches moments computed from them.
     """
 
     n: int
@@ -141,6 +145,19 @@ class NullTable:
     q: float
     support: np.ndarray
     probabilities: np.ndarray
+
+    def __post_init__(self) -> None:
+        support, probabilities = np.asarray(self.support), np.asarray(self.probabilities)
+        if support.shape != probabilities.shape:
+            raise DomainError("support and probabilities disagree in length")
+        support.flags.writeable = probabilities.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probabilities", probabilities)
+
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor, so they are
+        # checked and read-only again and carry no cached moments
+        return NullTable, (self.n, self.alpha, self.q, self.support, self.probabilities)
 
     @property
     def pair_count(self) -> int:
@@ -163,27 +180,23 @@ class NullTable:
     def excess_kurtosis(self) -> float:
         return self.std_kurtosis - 3.0
 
-    def prob(self, s: float) -> float:
-        """Point mass at lattice value s (0 off the support)."""
-        return float(self.probabilities[self.support == s].sum())
+    def p_upper(self, x: float) -> float:
+        """Upper-tail mid-p: P(X > x) + P(X = x)/2."""
+        above = float(self.probabilities[self.support > x].sum())
+        return above + 0.5 * float(self.probabilities[self.support == x].sum())
 
-    def p_upper(self, s: float) -> float:
-        """Upper-tail mid-p: P(S > s) + P(S = s)/2."""
-        above = float(self.probabilities[self.support > s].sum())
-        return above + 0.5 * self.prob(s)
-
-    def p_two_sided(self, s: float) -> float:
-        p1 = self.p_upper(s)
+    def p_two_sided(self, x: float) -> float:
+        p1 = self.p_upper(x)
         return 2.0 * min(p1, 1.0 - p1)
 
-    def quantile(self, p: float) -> int:
-        """Smallest support value whose CDF reaches p."""
+    def quantile(self, p: float) -> float:
+        """Smallest support value whose CDF reaches p (an int on the lattice)."""
         if not 0.0 < p <= 1.0:
             raise DomainError("quantile level must lie in (0, 1]")
         cdf = np.cumsum(self.probabilities)
         idx = int(np.searchsorted(cdf, p, side="left"))
         idx = min(idx, self.support.size - 1)
-        return int(self.support[idx])
+        return self.support[idx].item()
 
     def standardized_cutoff(self, level: float = 0.05) -> float:
         """Upper quantile at 1 - level/2, on the unit-variance scale."""
@@ -197,25 +210,39 @@ class NullTable:
             "pair_count": self.pair_count,
             "alpha": self.alpha,
             "q": self.q,
-            "support": [int(s) for s in self.support],
-            "probabilities": [float(p) for p in self.probabilities],
+            "support": self.support.tolist(),
+            "probabilities": self.probabilities.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NullTable":
         payload = json.loads(text)
-        support = np.asarray(payload["support"], dtype=np.int64)
-        probabilities = np.asarray(payload["probabilities"], dtype=float)
-        if support.shape != probabilities.shape:
-            raise DomainError("support and probabilities disagree in length")
         return cls(
             n=int(payload["n"]),
             alpha=float(payload["alpha"]),
             q=float(payload["q"]),
-            support=support,
-            probabilities=probabilities,
+            support=payload["support"],
+            probabilities=payload["probabilities"],
         )
+
+
+def _power_kernel(n: int, alpha: float, q: float, support: np.ndarray) -> NullTable:
+    """The null with probabilities (q^2 - x^2)^alpha on ``support``, |x| < q.
+
+    Built in log space, so a large alpha cannot overflow, in one float buffer
+    updated in place; x^2 is exact on the lattice, so there p[i] == p[-1 - i]
+    bit for bit.
+    """
+    p = support.astype(float)
+    p *= p
+    np.subtract(q * q, p, out=p)
+    np.log(p, out=p)
+    p *= alpha
+    p -= p.max()
+    np.exp(p, out=p)
+    p /= p.sum()
+    return NullTable(n=n, alpha=alpha, q=q, support=support, probabilities=p)
 
 
 # eight tables at the entry budget keep about 1.1 GB
@@ -241,68 +268,29 @@ def null_table(n: int) -> NullTable:
     mu2 = float(population_variance(n))
     kurt = implied_std_kurtosis(alpha)
     q = q_from_moments(mu2, kurt * mu2 * mu2)
-    support = np.arange(-m, m + 1, dtype=np.int64)
-    # one buffer, updated in place; s^2 is exact, so p[i] == p[-1 - i]
-    # bit for bit
-    p = support.astype(float)
-    p *= p
-    np.subtract(q * q, p, out=p)
-    np.log(p, out=p)
-    p *= alpha
-    p -= p.max()
-    np.exp(p, out=p)
-    p /= p.sum()
-    # the cache hands one table to every caller, and the table caches its
-    # moments, so its arrays are read-only
-    support.flags.writeable = p.flags.writeable = False
-    return NullTable(n=n, alpha=alpha, q=q, support=support, probabilities=p)
-
-
-@dataclass(frozen=True)
-class SpearmanNull:
-    """Continuous unit-variance kernel null for z = rho_S sqrt(n - 1).
-
-    Midpoint quadrature of (q^2 - z^2)^alpha truncated to the attainable
-    band |z| <= sqrt(n - 1); the shape comes from the exact tabulated
-    kurtosis, not the polynomial fit.
-    """
-
-    n: int
-    alpha: float
-    q: float
-    grid: np.ndarray
-    probabilities: np.ndarray
-
-    @property
-    def variance(self) -> float:
-        return float(np.sum(self.probabilities * self.grid**2))
-
-    def p_upper(self, z: float) -> float:
-        return float(self.probabilities[self.grid > z].sum())
-
-    def p_two_sided(self, z: float) -> float:
-        p1 = self.p_upper(z)
-        return 2.0 * min(p1, 1.0 - p1)
+    return _power_kernel(n, alpha, q, np.arange(-m, m + 1, dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=32)
-def spearman_null(n: int) -> SpearmanNull:
-    """Build (and cache) the exact-kurtosis kernel null, at the n where
-    :func:`_exact_null` finds the exact kurtosis tabulated."""
+def spearman_null(n: int) -> NullTable:
+    """Build (and cache) the unit-variance kernel null for z = rho_S sqrt(n - 1),
+    at the n where :func:`_exact_null` finds the exact kurtosis tabulated.
+
+    The support is the midpoint quadrature grid of the attainable band
+    |z| <= sqrt(n - 1), cut to |z| < q; the shape comes from the exact
+    tabulated kurtosis, not the polynomial fit.
+    """
     n = int(n)
     if _exact_null("spearman", n)[1] is not None:
         raise DomainError(
             f"exact midrank null is tabulated for 3 <= n <= {max(SPEARMAN_STD_KURTOSIS_BY_N)} only"
         )
-    kurt = SPEARMAN_STD_KURTOSIS_BY_N[n]
-    alpha = alpha_from_kurtosis(kurt)
+    alpha = alpha_from_kurtosis(SPEARMAN_STD_KURTOSIS_BY_N[n])
     q = math.sqrt(2.0 * alpha + 3.0)
     lim = min(q, math.sqrt(n - 1.0))
     step = 2.0 * lim / SPEARMAN_GRID_POINTS
     grid = -lim + (np.arange(SPEARMAN_GRID_POINTS) + 0.5) * step
-    weights = (q * q - grid**2) ** alpha
-    probabilities = weights / weights.sum()
-    return SpearmanNull(n=n, alpha=alpha, q=q, grid=grid, probabilities=probabilities)
+    return _power_kernel(n, alpha, q, grid)
 
 
 @dataclass(frozen=True)
@@ -357,8 +345,8 @@ def _test(
     ``statistic`` is only reported.  "auto" takes the null :func:`_exact_null`
     names unless it gives a reason to skip it; "exact" takes that null
     wherever it can be built, and is refused where it names none.  The
-    lattice reads the mid-p of S, the kernel and the normal read the upper
-    tail of z.
+    lattice reads the mid-p of S, the kernel the mid-p of z on its grid, and
+    the normal the upper tail of z.
     """
     if null not in ("auto", "exact", "normal"):
         raise ValueError(f"unknown null {null!r}")
@@ -367,10 +355,10 @@ def _test(
         raise DomainError(f"{method} has {skipped}; use --null auto or normal")
     if null == "normal" or (null == "auto" and skipped is not None):
         name, p_one = "normal", _normal_upper(z)
-    elif name == "lattice":
-        p_one = null_table(n).p_upper(s)
     else:
-        p_one = spearman_null(n).p_upper(z)
+        # the builder is looked up at call time, so a rebound one is seen
+        build, x = (null_table, s) if name == "lattice" else (spearman_null, z)
+        p_one = build(n).p_upper(x)
     return TestResult(
         statistic=float(statistic),
         p_two_sided=2.0 * min(p_one, 1.0 - p_one),

@@ -103,6 +103,11 @@ class ScoreVector:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    def __reduce__(self):
+        # a copy or unpickled vector is rebuilt from its values: validated,
+        # private and read-only again, with no stale cached rank summary
+        return ScoreVector, (self.values,)
+
     @property
     def n(self) -> int:
         return int(self.values.size)

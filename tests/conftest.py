@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import numpy as np
 import pytest
+
+#: The three ways to duplicate an object, which must all rebuild it through
+#: its constructor.
+CLONES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
 
 _ACCEPTANCE: dict[int, tuple[str, str]] = {}
 

@@ -396,6 +396,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "enumerate", "12")
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["1", "9"])
+    def test_oracle_out_of_range_is_numeric_error(self, capsys, n):
+        # one range check serves the oracle and the report: same exit, same message
+        enumerate_ = run_cli(capsys, "enumerate", n)
+        report = run_cli(capsys, "consistency-report", "--oracle-n", n)
+        assert report == enumerate_
+        assert report == (3, "", f"numeric error: enumeration supports 2 <= n <= 8, got {n}\n")
+
     def test_unwritable_out_is_data_error(self, capsys):
         code, _, err = run_cli(
             capsys, "enumerate", "3", "--out", "/no-such-dir/x.json"

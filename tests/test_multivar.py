@@ -7,6 +7,8 @@ from kemeny_stat import multivar as mv
 from kemeny_stat import rank_core as rc
 from kemeny_stat.errors import DataError, DecompositionError, DomainError
 
+from conftest import CLONES
+
 
 def random_spd(rng, p, jitter=0.5):
     a = rng.normal(size=(p, p))
@@ -30,6 +32,17 @@ class TestDataMatrix:
             dm.values = np.zeros((2, 2))
         with pytest.raises(ValueError):
             dm.values[0, 0] = 9.0
+
+    @pytest.mark.parametrize("clone", sorted(CLONES))
+    def test_copies_are_rebuilt_read_only(self, clone):
+        dm = mv.DataMatrix([[1.0, -math.inf], [3.0, 4.0]], ["u", "v"])
+        twin = CLONES[clone](dm)
+        assert twin is not dm and twin.columns == ("u", "v")
+        assert np.array_equal(twin.values, dm.values)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.values[0, 0] = 9.0
+        with pytest.raises(AttributeError):
+            twin.columns = ("a", "b")
 
     def test_nan_reports_row(self):
         with pytest.raises(DataError, match="row 1"):

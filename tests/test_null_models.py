@@ -35,7 +35,7 @@ from kemeny_stat.reference import (
     TWO_SIDED_CUTOFF_N15,
 )
 
-from conftest import fuzz_pair
+from conftest import CLONES, fuzz_pair
 
 
 class TestPopulationVariance:
@@ -260,6 +260,24 @@ class TestNullTable:
         with pytest.raises(DomainError):
             nm.NullTable.from_json(json.dumps(payload))
 
+    def test_unequal_shapes_rejected_at_construction(self):
+        with pytest.raises(DomainError, match="disagree in length"):
+            nm.NullTable(n=4, alpha=1.0, q=7.0, support=np.arange(-6, 7), probabilities=np.ones(12) / 12)
+
+    @pytest.mark.parametrize("clone", sorted(CLONES))
+    def test_copies_are_rebuilt_read_only(self, clone):
+        table = nm.null_table.__wrapped__(10)
+        assert table.variance > 0  # cached from the read-only arrays
+        twin = CLONES[clone](table)
+        assert "variance" not in vars(twin)
+        assert np.array_equal(twin.support, table.support)
+        assert np.array_equal(twin.probabilities, table.probabilities)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.probabilities[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            twin.support[0] = 0
+        assert twin.variance == table.variance
+
     def test_cache_returns_same_object(self):
         assert nm.null_table(7) is nm.null_table(7)
 
@@ -324,7 +342,7 @@ class TestSpearmanKernel:
 
     def test_truncated_to_attainable_band(self):
         kernel = nm.spearman_null(10)
-        assert kernel.grid.max() < math.sqrt(9.0)
+        assert kernel.support.max() < math.sqrt(9.0)
         assert kernel.alpha == pytest.approx(
             nm.alpha_from_kurtosis(SPEARMAN_STD_KURTOSIS_BY_N[10])
         )
@@ -341,6 +359,36 @@ class TestSpearmanKernel:
     def test_untabulated_sizes_rejected(self, n):
         with pytest.raises(DomainError):
             nm.spearman_null(n)
+
+    @pytest.mark.parametrize("n", range(3, 20))
+    def test_matches_the_linear_space_kernel(self, n):
+        # the oracle is the kernel written out in linear space, which holds at
+        # these n (alpha stays small) and overflows once alpha is large
+        alpha = nm.alpha_from_kurtosis(SPEARMAN_STD_KURTOSIS_BY_N[n])
+        q = math.sqrt(2.0 * alpha + 3.0)
+        lim = min(q, math.sqrt(n - 1.0))
+        step = 2.0 * lim / nm.SPEARMAN_GRID_POINTS
+        grid = -lim + (np.arange(nm.SPEARMAN_GRID_POINTS) + 0.5) * step
+        weights = (q * q - grid**2) ** alpha
+        probabilities = weights / weights.sum()
+        kernel = nm.spearman_null(n)
+        assert (kernel.alpha, kernel.q) == (alpha, q)
+        assert np.array_equal(kernel.support, grid)
+        assert np.abs(kernel.probabilities - probabilities).max() <= 1e-15
+        # the oracle's tail has no mid-p term, so z stays on the cell edges,
+        # off the grid points
+        for z in (-lim - 0.5, *(-lim + step * np.arange(0, 8193, 128)), lim + 0.5):
+            assert abs(kernel.p_upper(z) - probabilities[grid > z].sum()) <= 1e-15
+
+    def test_json_round_trip_keeps_the_float_grid(self):
+        kernel = nm.spearman_null(7)
+        clone = nm.NullTable.from_json(kernel.to_json())
+        assert clone.support.dtype == np.float64
+        assert np.array_equal(clone.support, kernel.support)
+        assert np.array_equal(clone.probabilities, kernel.probabilities)
+        assert (clone.n, clone.alpha, clone.q) == (kernel.n, kernel.alpha, kernel.q)
+        assert clone.p_upper(1.3) == kernel.p_upper(1.3)
+        assert clone.to_json() == kernel.to_json()
 
 
 #: Sample sizes on both edges of every null's domain: n = 3, the kernel's

@@ -46,7 +46,7 @@ from kemeny_stat import (
 from kemeny_stat import cli, null_models, rank_core, simulate
 from kemeny_stat.rank_core import tie_block_sizes
 
-from conftest import fuzz_pair
+from conftest import CLONES, fuzz_pair
 
 INF = float("inf")
 
@@ -77,6 +77,18 @@ class TestScoreVector:
         v = ScoreVector([1.0, 2.0])
         with pytest.raises(ValueError):
             v.values[0] = 5.0
+
+    @pytest.mark.parametrize("clone", sorted(CLONES))
+    def test_copies_are_rebuilt_read_only(self, clone):
+        v = ScoreVector([1, 2, 2, 3])
+        assert rank_vector(v).counts.tolist() == [3, 0, 0, -3]
+        w = CLONES[clone](v)
+        assert w is not v and not {"ranks", "_image", "_tie_sums"} & set(vars(w))
+        with pytest.raises(ValueError, match="read-only"):
+            w.values[0] = 9
+        assert np.array_equal(w.values, v.values)
+        assert rank_vector(w) is not rank_vector(v)
+        assert rank_vector(w).counts.tolist() == [3, 0, 0, -3]
 
     def test_compares_and_hashes_by_identity(self):
         # generated __eq__/__hash__ over the ndarray field would raise here
