@@ -29,10 +29,8 @@ _EXPORTS = {
         "DecompositionError",
     ),
     "rank_core": (
-        "SCALE",
         "ScoreVector",
         "ConcordanceCounts",
-        "RankVector",
         "pair_stats",
         "kemeny_distance_affine",
         "kemeny_distance_exact",

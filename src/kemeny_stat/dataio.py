@@ -1,6 +1,7 @@
 """CSV ingestion for the data matrix.
 
-Plain comma-separated text with a mandatory header row.  Cells must parse
+Plain comma-separated text with a mandatory header row, which may open with
+a UTF-8 byte-order mark (Excel's "CSV UTF-8" files do).  Cells must parse
 as floats; ``inf``/``-inf`` are legal scores (the pair metric only ever
 compares values), missing or non-numeric cells are hard errors that point
 at the offending line.
@@ -58,7 +59,7 @@ def _load(handle: IO[str]) -> DataMatrix:
 def _load_columns(handle: IO[str]) -> DataMatrix | None:
     """The body in one ``np.loadtxt`` pass, or None where the row loop decides."""
     try:
-        row = next(csv.reader(handle), None)
+        row = next(csv.reader(_lines(handle)), None)
     except csv.Error:
         return None  # the row loop reports it
     header = [name.strip() for name in row or ()]
@@ -76,9 +77,19 @@ def _load_columns(handle: IO[str]) -> DataMatrix | None:
     return DataMatrix(values, header)
 
 
+def _lines(handle: IO[str]):
+    """The handle's lines, the first without the byte-order mark that opens
+    Excel's "CSV UTF-8" files, so csv still sees a quote that follows it."""
+    lines = iter(handle)
+    for first in lines:
+        yield first.removeprefix("\ufeff")
+        break
+    yield from lines
+
+
 def _load_rows(handle: IO[str]) -> DataMatrix:
     """Parse cell by cell: the reference path and the error reporter."""
-    reader = csv.reader(handle)
+    reader = csv.reader(_lines(handle))
     try:
         rows = list(reader)
     except csv.Error as exc:  # e.g. a cell past csv's field size limit

@@ -108,12 +108,13 @@ CORRELATION_METHODS: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankCorrMatrix:
     """A p x p correlation matrix with the per-column pair-score spreads.
 
     ``sigmas[i]`` is the square root of the untied-pair count of column i,
-    the natural scale of the pair-score inner product.
+    the natural scale of the pair-score inner product.  Results compare and
+    hash by identity.
     """
 
     matrix: np.ndarray

@@ -129,7 +129,7 @@ def _normal_upper(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullTable:
     """A symmetric power-kernel null: probabilities follow (q^2 - x^2)^alpha
     on the ascending ``support``, renormalised.
@@ -138,6 +138,7 @@ class NullTable:
     centred concordance count at sample size n; :func:`spearman_null` on a
     midpoint grid of z = rho_S sqrt(n - 1).  The table owns its arrays: it
     marks them read-only, since it caches moments computed from them.
+    Tables compare and hash by identity.
     """
 
     n: int
@@ -404,10 +405,11 @@ def z_kemeny(
 def _kendall_b_variance(
     x: ScoreVector | Iterable[float], y: ScoreVector | Iterable[float]
 ) -> float:
-    """Tie-adjusted null variance of C - D, from the tie sums of x and y."""
+    """Tie-adjusted null variance of C - D, from the kept tie totals and tie
+    sums of x and y (sum t(t-1) is twice the tied-pair total)."""
     x, y = as_score_vector(x), as_score_vector(y)
-    tx2, tx3, vt = x._tie_sums
-    ty2, ty3, vu = y._tie_sums
+    tx2, (tx3, vt) = 2 * x._tie_total, x._tie_sums
+    ty2, (ty3, vu) = 2 * y._tie_total, y._tie_sums
     n = x.n
     v0 = n * (n - 1) * (2 * n + 5)
     v1 = tx2 * ty2 / (2.0 * n * (n - 1))

@@ -25,14 +25,16 @@ all-tied vectors sit at distance m, not 0.  The exact variant d* repairs that
 Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
 rejected at construction.  Each vector is ranked once into dense codes and
 tie-block sizes, by one argsort and the runs of the sorted values, and keeps
-the summary every formula reads: its rank image with the image's exact
-squared norm, and its exact tie sums.  Pair
-classification reads tie totals from block sizes, the jointly tied total from
-the runs of the sorted joint codes, and counts discordances as strict
-inversions of the y codes, one stable argsort per bit of the codes.  Each pair
-of vectors is classified once, and its counts are kept while both vectors
-live.  An O(n^2) sign-matrix reference implementation must agree with it
-exactly and the two are differentially tested.
+the summary every formula reads, each quantity built once on first use: its
+rank image (the read-only int64 counts :func:`rank_vector` returns) with the
+image's exact squared norm, its tied-pair total T = sum t(t-1)/2, and its
+exact higher tie sums.  Pair classification reads each column's kept T, takes
+the jointly tied total from the runs of the sorted joint codes, and counts
+discordances as strict inversions of the y codes, one stable argsort per bit
+of the codes.  Each pair of vectors is classified once, and its counts are
+kept while both vectors live.  An O(n^2) sign-matrix reference
+implementation must agree with it exactly and the two are differentially
+tested.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ from .errors import DataError, DegenerateError, DomainError
 
 __all__ = [
     "ESTIMATORS",
-    "SCALE",
     "PAIRWISE_MAX_N",
     "ScoreVector",
     "ConcordanceCounts",
-    "RankVector",
     "as_score_vector",
     "pair_stats",
     "kemeny_distance_affine",
@@ -67,9 +67,6 @@ __all__ = [
     "greiner_sin",
     "tie_block_sizes",
 ]
-
-#: The analytic scale sqrt(1/2) of a single pair score.
-SCALE: float = math.sqrt(0.5)
 
 #: Largest n the O(n^2) route ``pair_stats(method="quadratic")`` takes.  It
 #: peaks at about 6 B per n x n cell, so at most 150 MB here; past it it raises
@@ -126,29 +123,34 @@ class ScoreVector:
         return codes, sizes
 
     @functools.cached_property
-    def _image(self) -> tuple[RankVector, int]:
-        """The rank image :func:`rank_vector` returns, with read-only counts,
+    def _image(self) -> tuple[np.ndarray, int]:
+        """The rank image :func:`rank_vector` returns, as read-only counts,
         and its exact squared norm; built from the tie blocks on first use."""
         codes, sizes = self.ranks
         less = np.cumsum(sizes) - sizes
         net = (self.n - sizes - less) - less  # (#greater) - (#less) per tie block
         counts = net[codes]
         counts.flags.writeable = False
-        return RankVector(counts), _exact_dot(counts, counts)
+        return counts, _exact_dot(counts, counts)
 
     @functools.cached_property
-    def _tie_sums(self) -> tuple[int, int, int]:
-        """Sums of t(t-1), t(t-1)(t-2) and t(t-1)(2t+5) over the tie-block
-        sizes t, as exact Python ints (t^3 wraps int64 once a block passes
-        ~1.66e6): one term per distinct size t >= 2, at most sqrt(2n) of them."""
+    def _tie_total(self) -> int:
+        """T = sum of t(t-1)/2 over the tie-block sizes t: the pairs tied in
+        this vector, read by every formula that needs them."""
+        return _tied_pairs(self.ranks[1])
+
+    @functools.cached_property
+    def _tie_sums(self) -> tuple[int, int]:
+        """Sums of t(t-1)(t-2) and t(t-1)(2t+5) over the tie-block sizes t,
+        as exact Python ints (t^3 wraps int64 once a block passes ~1.66e6):
+        one term per distinct size t >= 2, at most sqrt(2n) of them."""
         mult = np.bincount(tie_block_sizes(self))
-        t2 = t3 = t5 = 0
+        t3 = t5 = 0
         for t in (np.flatnonzero(mult[2:]) + 2).tolist():
             pairs = int(mult[t]) * t * (t - 1)
-            t2 += pairs
             t3 += pairs * (t - 2)
             t5 += pairs * (2 * t + 5)
-        return t2, t3, t5
+        return t3, t5
 
 
 def as_score_vector(x: ScoreVector | Iterable[float] | np.ndarray) -> ScoreVector:
@@ -203,26 +205,6 @@ class ConcordanceCounts:
     def untied_y(self) -> int:
         """Pairs untied in y: C + D + the pairs tied in x only."""
         return self.concordant + self.discordant + self.tied_x
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """The Kemeny rank image of a vector.
-
-    ``counts[l] = #{x_k > x_l} - #{x_k < x_l}`` are integers summing to
-    exactly 0 (skew symmetry of the pair scores); ``entries`` are the
-    sqrt(1/2)-scaled values used by the Spearman-form estimator.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if int(self.counts.sum()) != 0:
-            raise DataError("rank vector counts must sum to 0")
-
-    @property
-    def entries(self) -> np.ndarray:
-        return SCALE * self.counts.astype(float)
 
 
 # ----------------------------------------------------------------------------
@@ -287,7 +269,8 @@ def _dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tied_pairs(sizes: np.ndarray) -> int:
     """Sum of t(t-1)/2 over tie-block sizes t (at most n(n-1)/2, so the int64
-    dot cannot wrap below n = 3e9)."""
+    dot cannot wrap below n = 3e9): a column's kept
+    :attr:`ScoreVector._tie_total`, and the pair kernel's jointly tied total."""
     return int(np.dot(sizes, sizes - 1)) // 2
 
 
@@ -323,11 +306,11 @@ def _strict_inversions(codes: np.ndarray, k: int, runs: int) -> int:
 def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     """O(n log n log k) path: dense codes, block sizes, a bit-wise inversion count.
 
-    Tie-pair totals come from the block sizes of the x codes and the y codes,
-    and from the runs of the joint codes cx * ky + cy, sorted once.  In that
-    order (x, then y), a discordant pair is precisely a strict inversion in
-    the y codes (within an x tie block they ascend, so such pairs are never
-    counted).  Concordant pairs are whatever remains of m.
+    The tied totals of x and y are the columns' kept ones; the jointly tied
+    total comes from the runs of the joint codes cx * ky + cy, sorted once.
+    In that order (x, then y), a discordant pair is precisely a strict
+    inversion in the y codes (within an x tie block they ascend, so such
+    pairs are never counted).  Concordant pairs are whatever remains of m.
     """
     m = vx.pair_count
     cx, sx = vx.ranks
@@ -336,8 +319,8 @@ def _pair_stats_merge(vx: ScoreVector, vy: ScoreVector) -> ConcordanceCounts:
     joint = cx * ky + cy
     joint.sort()
     tied_pairs_both = _tied_pairs(_runs(joint)[1])
-    tied_x = _tied_pairs(sx) - tied_pairs_both
-    tied_y = _tied_pairs(sy) - tied_pairs_both
+    tied_x = vx._tie_total - tied_pairs_both
+    tied_y = vy._tie_total - tied_pairs_both
     discordant = _strict_inversions(joint % ky, ky, sx.size)
     concordant = m - discordant - tied_x - tied_y - tied_pairs_both
     return ConcordanceCounts(vx.n, concordant, discordant, tied_x, tied_y, tied_pairs_both)
@@ -431,7 +414,7 @@ def kemeny_variance(x: ScoreVector | Iterable[float]) -> int:
     Equals m iff x is tie-free and 0 iff x is constant.
     """
     v = as_score_vector(x)
-    return v.pair_count - _tied_pairs(v.ranks[1])
+    return v.pair_count - v._tie_total
 
 
 def tie_block_sizes(x: ScoreVector | Iterable[float]) -> np.ndarray:
@@ -439,13 +422,14 @@ def tie_block_sizes(x: ScoreVector | Iterable[float]) -> np.ndarray:
     return as_score_vector(x).ranks[1]
 
 
-def rank_vector(x: ScoreVector | Iterable[float]) -> RankVector:
+def rank_vector(x: ScoreVector | Iterable[float]) -> np.ndarray:
     """Column sums of the pair-score matrix: the Kemeny rank image of x.
 
-    ``counts[l] = #{x_k > x_l} - #{x_k < x_l}``; for a strict vector the
-    sorted counts are n+1-2r for ranks r = 1..n.  Computed by sorting, not by
-    the O(n^2) score matrix, once per :class:`ScoreVector`; the counts are
-    read-only.
+    Returns the int64 counts ``#{x_k > x_l} - #{x_k < x_l}`` for each l, which
+    sum to exactly 0 (skew symmetry of the pair scores); for a strict vector
+    the sorted counts are n+1-2r for ranks r = 1..n.  Computed by sorting,
+    not by the O(n^2) score matrix, once per :class:`ScoreVector`; the
+    returned array is the kept one, read-only.
     """
     return as_score_vector(x)._image[0]
 
@@ -470,7 +454,7 @@ def spearman_rho(
     vx, vy = as_score_vector(x), as_score_vector(y)
     if vx.n != vy.n:
         raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
-    sxy = _exact_dot(rank_vector(vx).counts, rank_vector(vy).counts)
+    sxy = _exact_dot(rank_vector(vx), rank_vector(vy))
     sxx, syy = vx._image[1], vy._image[1]
     if sxx == 0 or syy == 0:
         which = "x" if sxx == 0 else "y"
@@ -529,7 +513,7 @@ def _midranks(x) -> np.ndarray:
     rank-image count is n + t - 2e, so the midranks are (n + 1 - counts)/2.
     """
     v = as_score_vector(x)
-    return 0.5 * (v.n + 1 - rank_vector(v).counts)
+    return 0.5 * (v.n + 1 - rank_vector(v))
 
 
 def _classical_spearman(x, y) -> float:

@@ -157,6 +157,22 @@ class TestColumnarIngest:
             load_csv(path)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "body, columnar", [("1,2\n3,4\n", True), ('"1",2\n3,4\n', False)],
+        ids=["columnar", "row-loop"],
+    )
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, body, columnar):
+        # Excel's "CSV UTF-8" files open with U+FEFF
+        for header in ("a,b\n", '"a",b\n'):
+            text = "\ufeff" + header + body
+            path = tmp_path / "bom.csv"
+            path.write_text(text, encoding="utf-8")
+            assert (dataio._load_columns(io.StringIO(text)) is not None) == columnar
+            for source in (str(path), io.StringIO(text)):
+                dm = load_csv(source)
+                assert dm.columns == ("a", "b")
+                assert np.array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_line_endings(self, tmp_path):
         for eol in ("\n", "\r\n", "\r"):
             dm = load_csv(write(tmp_path, eol.join(["a,b", "1,2", "3,4", ""])))

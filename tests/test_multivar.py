@@ -90,6 +90,14 @@ class TestCorrelationMatrix:
         want = [math.sqrt(rc.kemeny_variance(data.values[:, j])) for j in range(4)]
         assert np.allclose(corr.sigmas, want, rtol=0, atol=0)
 
+    def test_compares_and_hashes_by_identity(self, data):
+        # generated __eq__/__hash__ over the ndarray fields would raise here
+        a, b = mv.correlation_matrix(data), mv.correlation_matrix(data)
+        assert a == a and not a == b and a != b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_unknown_method(self, data):
         with pytest.raises(ValueError):
             mv.correlation_matrix(data, "pearson")

@@ -212,6 +212,15 @@ class TestNullTable:
         with pytest.raises(ValueError, match="read-only"):
             table.probabilities[0] = 0.5
 
+    def test_compares_and_hashes_by_identity(self):
+        # generated __eq__/__hash__ over the ndarray fields would raise here
+        table = nm.null_table(4)
+        twin = nm.NullTable.from_json(table.to_json())
+        assert table == table and not table == twin and table != twin
+        assert table in [twin, table] and twin not in [table]
+        assert hash(table) == hash(table)
+        assert len({table, twin}) == 2
+
     def test_central_two_sided_p_is_one(self):
         assert nm.null_table(15).p_two_sided(0) == pytest.approx(1.0, abs=1e-12)
 

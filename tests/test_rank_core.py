@@ -7,6 +7,7 @@ scipy's independent implementations before being frozen here.
 
 from __future__ import annotations
 
+import collections
 import gc
 import math
 import pickle
@@ -20,13 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kemeny_stat import (
-    SCALE,
     ConcordanceCounts,
     DataError,
     DataMatrix,
     DegenerateError,
     DomainError,
-    RankVector,
     ScoreVector,
     arcsine_r,
     correlation_matrix,
@@ -81,14 +80,17 @@ class TestScoreVector:
     @pytest.mark.parametrize("clone", sorted(CLONES))
     def test_copies_are_rebuilt_read_only(self, clone):
         v = ScoreVector([1, 2, 2, 3])
-        assert rank_vector(v).counts.tolist() == [3, 0, 0, -3]
+        assert rank_vector(v).tolist() == [3, 0, 0, -3]
+        assert (v._tie_total, v._tie_sums) == (1, (0, 18))
+        kept = {"ranks", "_image", "_tie_total", "_tie_sums"}
+        assert kept <= set(vars(v))
         w = CLONES[clone](v)
-        assert w is not v and not {"ranks", "_image", "_tie_sums"} & set(vars(w))
+        assert w is not v and not kept & set(vars(w))
         with pytest.raises(ValueError, match="read-only"):
             w.values[0] = 9
         assert np.array_equal(w.values, v.values)
         assert rank_vector(w) is not rank_vector(v)
-        assert rank_vector(w).counts.tolist() == [3, 0, 0, -3]
+        assert rank_vector(w).tolist() == [3, 0, 0, -3]
 
     def test_compares_and_hashes_by_identity(self):
         # generated __eq__/__hash__ over the ndarray field would raise here
@@ -342,23 +344,22 @@ class TestKemenyVariance:
 class TestRankVector:
     def test_strict(self):
         rv = rank_vector([1, 2, 3])
-        assert rv.counts.tolist() == [2, 0, -2]
-        np.testing.assert_allclose(rv.entries, SCALE * np.array([2, 0, -2]))
+        assert rv.dtype == np.int64 and rv.tolist() == [2, 0, -2]
 
     def test_tied(self):
-        assert rank_vector([1, 1, 2]).counts.tolist() == [1, 1, -2]
+        assert rank_vector([1, 1, 2]).tolist() == [1, 1, -2]
 
     def test_strict_sorted_pattern(self):
         # sorted entries are n+1-2r for ranks r=1..n
         n = 7
         rv = rank_vector(np.arange(1, n + 1))
-        assert rv.counts.tolist() == [n + 1 - 2 * r for r in range(1, n + 1)]
+        assert rv.tolist() == [n + 1 - 2 * r for r in range(1, n + 1)]
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             x, _ = fuzz_pair(rng)
-            assert int(rank_vector(x).counts.sum()) == 0
+            assert int(rank_vector(x).sum()) == 0
 
     def test_equals_pair_sign_column_sums(self):
         rng = np.random.default_rng(31)
@@ -368,7 +369,7 @@ class TestRankVector:
                 sx = np.sign(x[:, None] - x[None, :])
             sx[np.isnan(sx)] = 0.0  # inf-inf pairs are ties
             np.testing.assert_array_equal(
-                rank_vector(x).counts, sx.sum(axis=0).astype(np.int64)
+                rank_vector(x), sx.sum(axis=0).astype(np.int64)
             )
 
 
@@ -471,8 +472,17 @@ def unique_dense(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64), sizes.astype(np.int64)
 
 
+def brute_tied_pairs(v: np.ndarray) -> int:
+    """Pairs k < l with v[k] == v[l]: compared pair by pair up to n = 2000,
+    past it counted per distinct value by a Counter over Python floats."""
+    if v.size <= 2000:
+        return (np.count_nonzero(v[:, None] == v[None, :]) - v.size) // 2
+    return sum(c * (c - 1) // 2 for c in collections.Counter(v.tolist()).values())
+
+
 class TestDense:
-    """rank_core._dense equals the np.unique oracle, code for code."""
+    """rank_core._dense equals the np.unique oracle, code for code, and the
+    kept tied-pair total equals a brute-force count of the tied pairs."""
 
     @staticmethod
     def check(v):
@@ -482,6 +492,7 @@ class TestDense:
         assert codes.dtype == sizes.dtype == np.int64
         np.testing.assert_array_equal(codes, want_codes)
         np.testing.assert_array_equal(sizes, want_sizes)
+        assert ScoreVector(v)._tie_total == brute_tied_pairs(v)
 
     def test_fuzzed_vectors(self):
         rng = np.random.default_rng(43)
@@ -520,8 +531,6 @@ def _bits(result):
         return result.hex()
     if isinstance(result, np.ndarray):
         return result.dtype.str, result.tobytes()
-    if isinstance(result, RankVector):
-        return _bits(result.counts)
     if hasattr(result, "as_dict"):
         return _bits(result.as_dict())
     if isinstance(result, dict):
@@ -618,26 +627,32 @@ class TestRankEachColumnOnce:
 
 
 class TestOneSummaryPerColumn:
-    """The rank image with its squared norm, and the tie sums, each built once
-    per ScoreVector and read by every formula that needs them."""
+    """The rank image with its squared norm, the tied-pair total and the tie
+    sums, each built once per ScoreVector and read by every formula that
+    needs them."""
 
     @pytest.mark.parametrize("method", ["spearman", "arcsine_r"])
     def test_correlation_matrix_builds_each_image_once(self, monkeypatch, method):
-        built = []
-        monkeypatch.setattr(
-            rank_core, "RankVector", lambda counts: built.append(counts.size) or RankVector(counts)
-        )
+        images = []
+        image = rank_core.rank_vector
+
+        def kept(v):
+            images.append(image(v))
+            return images[-1]
+
+        monkeypatch.setattr(rank_core, "rank_vector", kept)
         data = DataMatrix(np.random.default_rng(67).integers(1, 6, (300, 6)).astype(float))
         correlation_matrix(data, method)
-        assert built == [300] * 6  # one per column, not two per pair (30)
+        assert len(images) == 30  # two reads per pair
+        assert len({id(a) for a in images}) == 6  # one image per column, not two per pair
 
     def test_rank_vector_is_kept_and_read_only(self):
         v = ScoreVector([3.0, 1.0, 3.0, -INF, 2.0])
         rv = rank_vector(v)
         assert rank_vector(v) is rv
-        assert rv.counts.tolist() == [-3, 2, -3, 4, 0]
+        assert rv.tolist() == [-3, 2, -3, 4, 0]
         with pytest.raises(ValueError, match="read-only"):
-            rv.counts[0] = 0
+            rv[0] = 0
 
     def test_midranks_match_block_formula_bit_for_bit(self):
         # the block formula (2 ends - sizes + 1)/2 they replaced
@@ -662,6 +677,22 @@ class TestOneSummaryPerColumn:
             assert z_kendall_b(x, y).as_dict() == first
             z_kendall_b(y, x)
         assert calls == [x, y]
+
+    def test_tie_total_built_once_across_readers(self, monkeypatch):
+        built = []
+        tied = rank_core._tied_pairs
+        monkeypatch.setattr(
+            rank_core, "_tied_pairs", lambda sizes: built.append(sizes) or tied(sizes)
+        )
+        rng = np.random.default_rng(83)
+        x, y = ScoreVector(rng.integers(0, 4, 60)), ScoreVector(rng.integers(0, 5, 60))
+        for _ in range(3):
+            for a, b in ((x, y), (y, x)):
+                kemeny_variance(a)
+                pair_stats(a, b)
+                z_kendall_b(a, b)
+        kept = [s for s in built if s is x.ranks[1] or s is y.ranks[1]]
+        assert len(kept) == 2 and kept[0] is x.ranks[1] and kept[1] is y.ranks[1]
 
 
 class TestCountEachPairOnce:
