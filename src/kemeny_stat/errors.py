@@ -27,7 +27,7 @@ class DomainError(NumericError):
 
 
 class DegenerateError(NumericError):
-    """An input is constant (zero rank variance) where spread is required."""
+    """A column is constant (one tie block) where spread is required."""
 
 
 class DecompositionError(NumericError):

@@ -30,8 +30,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
-from .rank_core import ScoreVector, as_score_vector, pair_stats, spearman_rho
+from .errors import DomainError
+from .rank_core import ScoreVector, _require_spread, as_score_vector, pair_stats, spearman_rho
 from .reference import SPEARMAN_STD_KURTOSIS_BY_N
 
 __all__ = [
@@ -125,10 +125,6 @@ def q_from_moments(mu2: float, mu4: float) -> float:
     return math.sqrt(2.0) * math.sqrt(mu2 * mu4 / gap)
 
 
-def _normal_upper(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 @dataclass(frozen=True, eq=False)
 class NullTable:
     """A symmetric power-kernel null: probabilities follow (q^2 - x^2)^alpha
@@ -185,10 +181,6 @@ class NullTable:
         """Upper-tail mid-p: P(X > x) + P(X = x)/2."""
         above = float(self.probabilities[self.support > x].sum())
         return above + 0.5 * float(self.probabilities[self.support == x].sum())
-
-    def p_two_sided(self, x: float) -> float:
-        p1 = self.p_upper(x)
-        return 2.0 * min(p1, 1.0 - p1)
 
     def quantile(self, p: float) -> float:
         """Smallest support value whose CDF reaches p (an int on the lattice)."""
@@ -355,7 +347,7 @@ def _test(
     if null == "exact" and name is None:
         raise DomainError(f"{method} has {skipped}; use --null auto or normal")
     if null == "normal" or (null == "auto" and skipped is not None):
-        name, p_one = "normal", _normal_upper(z)
+        name, p_one = "normal", 0.5 * math.erfc(z / math.sqrt(2.0))
     else:
         # the builder is looked up at call time, so a rebound one is seen
         build, x = (null_table, s) if name == "lattice" else (spearman_null, z)
@@ -387,6 +379,7 @@ def z_kemeny(
     it (n from 3 to EXACT_LIMIT), else by the population-calibrated z
     against a normal, so the choice of displayed scale never changes the p-value.
     """
+    x, y = as_score_vector(x), as_score_vector(y)
     counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
@@ -394,8 +387,7 @@ def z_kemeny(
     if scale == "population":
         statistic = z
     elif scale == "sample":
-        if counts.untied_x == 0 or counts.untied_y == 0:
-            raise DegenerateError("a column is constant: no untied pairs to scale by")
+        _require_spread('z_kemeny(scale="sample")', x, y)
         statistic = s * counts.pair_count / math.sqrt(counts.untied_x * counts.untied_y)
     else:
         raise ValueError(f"unknown scale {scale!r}")
@@ -425,17 +417,17 @@ def z_kendall_b(
 ) -> TestResult:
     """Classical tie-adjusted normal test for tau_b.
 
-    Variance (v0 - vt - vu)/18 + v1 + v2 with the usual tie-block sums;
-    degenerates (and raises) when either column is constant.  The normal is
-    its only null: "auto" and "normal" take it, "exact" raises DomainError.
+    Variance (v0 - vt - vu)/18 + v1 + v2 with the usual tie-block sums; a
+    constant column is refused from its tie blocks before it is formed.  The
+    normal is its only null: "auto" and "normal" take it, "exact" raises
+    DomainError.
     """
     x, y = as_score_vector(x), as_score_vector(y)
     counts = pair_stats(x, y)
+    _require_spread("z_kendall_b", x, y)
     n = counts.n
     s = counts.net_concordance
     variance = _kendall_b_variance(x, y)
-    if variance <= 0:
-        raise DegenerateError("tie structure leaves no variance for the concordance count")
     z = s / math.sqrt(variance)
     return _test("kendall_b", z, n, s, z, null, {"n": n, "net_concordance": s, "variance": variance})
 

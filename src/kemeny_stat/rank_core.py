@@ -23,18 +23,21 @@ all-tied vectors sit at distance m, not 0.  The exact variant d* repairs that
 (it is a true metric) and the two are linked by d = d* + T_xy.
 
 Inputs may contain +inf/-inf (they order and tie like any other value); NaN is
-rejected at construction.  Each vector is ranked once into dense codes and
-tie-block sizes, by one argsort and the runs of the sorted values, and keeps
-the summary every formula reads, each quantity built once on first use: its
-rank image (the read-only int64 counts :func:`rank_vector` returns) with the
-image's exact squared norm, its tied-pair total T = sum t(t-1)/2, and its
-exact higher tie sums.  Pair classification reads each column's kept T, takes
-the jointly tied total from the runs of the sorted joint codes, and counts
-discordances as strict inversions of the y codes, one stable argsort per bit
-of the codes.  Each pair of vectors is classified once, and its counts are
-kept while both vectors live.  An O(n^2) sign-matrix reference
-implementation must agree with it exactly and the two are differentially
-tested.
+rejected at construction.  Each vector is ranked once, by one argsort and the
+runs of the sorted values, into dense codes and tie-block sizes, and keeps the
+summary every formula reads, each part built on first use: its rank image (the
+read-only int64 counts :func:`rank_vector` returns) with its exact squared
+norm, its tied-pair total T = sum t(t-1)/2 and its exact higher tie sums.  A
+pair of vectors is classified once, and its counts kept while both live: the
+jointly tied total from the runs of the sorted joint codes, discordances as
+strict inversions of the y codes, one stable argsort per bit.  An O(n^2)
+sign-matrix reference must agree with it exactly, and the two are
+differentially tested.
+
+A constant column is one tie block, every pair of it tied.  One rule,
+:func:`_require_spread`, reads that exactly from the kept tie blocks and
+refuses each estimator and test undefined there (tau_kappa and the distances
+are not) with ``DegenerateError("<function> undefined: <x|y> is constant")``.
 """
 
 from __future__ import annotations
@@ -158,6 +161,18 @@ def as_score_vector(x: ScoreVector | Iterable[float] | np.ndarray) -> ScoreVecto
     return x if isinstance(x, ScoreVector) else ScoreVector(x)
 
 
+def _constant(v: ScoreVector) -> bool:
+    """Whether v is one tie block, every pair tied: exact, from the kept ranks."""
+    return v.ranks[1].size == 1
+
+
+def _require_spread(function: str, x: ScoreVector, y: ScoreVector) -> None:
+    """The one refusal of a constant column, for what is undefined there."""
+    for name, v in (("x", x), ("y", y)):
+        if _constant(v):
+            raise DegenerateError(f"{function} undefined: {name} is constant")
+
+
 @dataclass(frozen=True)
 class ConcordanceCounts:
     """Joint pair classification of two equal-length vectors.
@@ -175,17 +190,9 @@ class ConcordanceCounts:
     tied_both: int
 
     def __post_init__(self) -> None:
-        total = (
-            self.concordant
-            + self.discordant
-            + self.tied_x
-            + self.tied_y
-            + self.tied_both
-        )
+        total = self.concordant + self.discordant + self.tied_x + self.tied_y + self.tied_both
         if total != self.pair_count:
-            raise DataError(
-                f"pair classes sum to {total}, expected m={self.pair_count}"
-            )
+            raise DataError(f"pair classes sum to {total}, expected m={self.pair_count}")
 
     @property
     def pair_count(self) -> int:
@@ -454,13 +461,9 @@ def spearman_rho(
     vx, vy = as_score_vector(x), as_score_vector(y)
     if vx.n != vy.n:
         raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
+    _require_spread("spearman_rho", vx, vy)
     sxy = _exact_dot(rank_vector(vx), rank_vector(vy))
     sxx, syy = vx._image[1], vy._image[1]
-    if sxx == 0 or syy == 0:
-        which = "x" if sxx == 0 else "y"
-        raise DegenerateError(
-            f"spearman_rho undefined: {which} is constant (zero rank variance)"
-        )
     # a perfect-square product (always so for y == x) is divided by its exact
     # root, so |rho| = 1 stays exact where float(sxx * syy) would round
     prod = sxx * syy
@@ -487,12 +490,9 @@ def kendall_tau_b(
     The per-margin denominators are exactly the untied pair counts of x and y,
     so on tie-free data tau_b == tau_kappa.  Constant inputs raise.
     """
-    c = pair_stats(x, y)
-    if c.untied_x == 0 or c.untied_y == 0:
-        which = "x" if c.untied_x == 0 else "y"
-        raise DegenerateError(
-            f"kendall_tau_b undefined: {which} is constant (all pairs tied)"
-        )
+    vx, vy = as_score_vector(x), as_score_vector(y)
+    c = pair_stats(vx, vy)
+    _require_spread("kendall_tau_b", vx, vy)
     return c.net_concordance / math.sqrt(c.untied_x * c.untied_y)
 
 
@@ -518,25 +518,32 @@ def _midranks(x) -> np.ndarray:
 
 def _classical_spearman(x, y) -> float:
     """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
-    rx = _midranks(x)
-    ry = _midranks(y)
-    if rx.std() == 0.0 or ry.std() == 0.0:
-        raise DegenerateError("constant column has no rank correlation")
-    return float(np.corrcoef(rx, ry)[0, 1])
+    vx, vy = as_score_vector(x), as_score_vector(y)
+    _require_spread("spearman", vx, vy)
+    return _corrcoef(_midranks(vx), _midranks(vy))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if not (np.isfinite(x) & np.isfinite(y)).all():
+def _pearson(x: ScoreVector, y: ScoreVector) -> float:
+    if not (np.isfinite(x.values) & np.isfinite(y.values)).all():
         raise DegenerateError("pearson undefined on +-inf; use a rank estimator like kemeny-tau")
-    if x.std() == 0.0 or y.std() == 0.0:
-        raise DegenerateError("constant column has no correlation")
-    return float(np.corrcoef(x, y)[0, 1])
+    _require_spread("pearson", x, y)
+    return _corrcoef(x.values, y.values)
+
+
+def _corrcoef(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two finite columns with spread.  A column whose largest
+    magnitude m lies outside [2^-400, 2^400] is scaled by the exact power of
+    two 2^-frexp(m)[1] first, so no square overflows or underflows."""
+    def scaled(v: np.ndarray) -> np.ndarray:
+        m = float(np.abs(v).max())
+        return v if 2.0**-400 <= m <= 2.0**400 else np.ldexp(v, -math.frexp(m)[1])
+    return float(np.corrcoef(scaled(x), scaled(y))[0, 1])
 
 
 #: The six-estimator family, in report order.  Each entry reads two
 #: ScoreVectors; the counting ones share the pair's one count.
 ESTIMATORS = {
-    "pearson": lambda x, y: _pearson(x.values, y.values),
+    "pearson": _pearson,
     "spearman": _classical_spearman,
     "kemeny-rho": spearman_rho,
     "kemeny-tau": kemeny_tau,

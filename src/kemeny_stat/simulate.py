@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__ as _version
 from .errors import DataError
 from .null_models import z_kemeny, z_kendall_b, z_spearman
-from .rank_core import ESTIMATORS, ScoreVector, pair_stats
+from .rank_core import ESTIMATORS, ScoreVector, _constant, pair_stats
 from .reference import (
     CORRELATION_SPREADS,
     NULL_DISTANCE_SUMMARIES,
@@ -244,7 +244,7 @@ def _replicate(
     for attempt in range(64):
         rng = np.random.default_rng((seed, n, rep, attempt))
         x, y = map(ScoreVector, _draw_pair(rng, n, population, rho, levels, resample))
-        if x.ranks[1].size < 2 or y.ranks[1].size < 2:
+        if _constant(x) or _constant(y):
             continue  # degenerate draw; deterministic retry stream
         return stats(x, y)
     raise DataError(
@@ -260,13 +260,14 @@ def _summary(values: np.ndarray) -> dict:
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
     sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    shaped = m2 > 0 and values.max() > values.min()  # m2 of equal floats may not be 0
     return {
         "mean": mean,
         "sd": sd,
         "median": float(np.median(values)),
         "range": float(values.max() - values.min()),
-        "skew": m3 / m2**1.5 if m2 > 0 else 0.0,
-        "excess_kurtosis": m4 / m2**2 - 3.0 if m2 > 0 else 0.0,
+        "skew": m3 / m2**1.5 if shaped else 0.0,
+        "excess_kurtosis": m4 / m2**2 - 3.0 if shaped else 0.0,
     }
 
 

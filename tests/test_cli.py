@@ -327,7 +327,7 @@ class TestExitCodes:
         assert code == 3
         assert "numeric error" in err
         for argv, message in (
-            (("test", "--method", "kendall-b"), "tie structure leaves no variance"),
+            (("test", "--method", "kendall-b"), "z_kendall_b undefined: x is constant"),
             (("correlate", "--method", "kendall-b"), "kendall_tau_b undefined: x is constant"),
         ):
             code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
@@ -350,6 +350,26 @@ class TestExitCodes:
         )
         assert (code, err) == (0, "")
         assert json.loads(out, parse_constant=refuse)["estimates"] == {"kemeny-tau": 0.0}
+
+    @pytest.mark.parametrize("rows", [37, 10])
+    def test_pearson_refuses_a_constant_column(self, capsys, tmp_path, rows):
+        # the float std of 37 copies of 0.1 is not 0; the tie blocks decide
+        path = tmp_path / "const.csv"
+        path.write_text("x,y\n" + "".join(f"0.1,{i}\n" for i in range(rows)))
+        code, out, err = run_cli(capsys, "correlate", str(path), "--method", "pearson")
+        assert (code, out) == (3, "")
+        assert err == "numeric error: pearson undefined: x is constant\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_pearson_on_huge_scores_is_finite(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n1e200,1\n-1e200,2\n0,3\n1,4\n")
+        code, out, err = run_cli(
+            capsys, "correlate", str(path), "--method", "pearson", "--json"
+        )
+        assert (code, err) == (0, "")
+        r = json.loads(out, parse_constant=_not_json)["estimates"]["pearson"]
+        assert r == pytest.approx(-1 / math.sqrt(10), abs=1e-15)
 
     def test_one_column_without_y_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

@@ -11,6 +11,8 @@ import collections
 import gc
 import math
 import pickle
+import re
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -458,6 +460,101 @@ class TestKendallTauB:
             if kemeny_variance(x) == 0 or kemeny_variance(y) == 0:
                 continue
             assert abs(kendall_tau_b(x, y)) >= abs(kemeny_tau(x, y)) - 1e-15
+
+
+class TestConstantColumn:
+    """One rule refuses a constant column, from its tie blocks, wherever the
+    paper leaves a quantity undefined; tau_kappa, the distances and the
+    population-scale z read 0 there by definition."""
+
+    CONSTANTS = (0.1, 1 / 3, 7.7, 3.0, INF, -INF)
+
+    def fuzz_cases(self):
+        rng = np.random.default_rng(24)
+        for _ in range(120):
+            n = int(rng.integers(2, 501))
+            constant = np.full(n, self.CONSTANTS[rng.integers(len(self.CONSTANTS))])
+            other = constant
+            while (other == other[0]).all():
+                levels = int(rng.integers(1, 9))  # 1 stands for continuous
+                other = rng.standard_normal(n)
+                if levels > 1:
+                    other = rng.integers(0, levels, n).astype(float)
+            name = "xy"[rng.integers(2)]
+            yield name, *((constant, other) if name == "x" else (other, constant))
+
+    def test_fuzzed_constant_columns(self):
+        from kemeny_stat.multivar import CORRELATION_METHODS
+
+        refused = {
+            **{key: f for key, f in rank_core.ESTIMATORS.items() if key != "kemeny-tau"},
+            **{key: f for key, f in CORRELATION_METHODS.items() if key != "kemeny_tau"},
+            "z_kendall_b": z_kendall_b,
+            "z_spearman": z_spearman,
+            "z_kemeny_sample": lambda x, y: z_kemeny(x, y, scale="sample"),
+        }
+        for name, x, y in self.fuzz_cases():
+            vx, vy = ScoreVector(x), ScoreVector(y)
+            for key, f in refused.items():
+                expected = f"undefined: {name} is constant"
+                if key == "pearson" and (np.isinf(x).any() or np.isinf(y).any()):
+                    expected = "pearson undefined on +-inf"
+                with pytest.raises(DegenerateError, match=re.escape(expected)):
+                    f(vx, vy)
+            spread = kemeny_variance(y if name == "x" else x)
+            assert kemeny_tau(vx, vy) == 0.0
+            assert kemeny_distance_affine(vx, vy) == vx.pair_count
+            assert kemeny_distance_exact(vx, vy) == spread
+            result = z_kemeny(vx, vy)
+            assert result.statistic == 0.0
+            assert result.p_two_sided == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_message_form(self):
+        for label, f in (
+            ("kendall_tau_b", kendall_tau_b),
+            ("spearman_rho", spearman_rho),
+            ("pearson", rank_core.ESTIMATORS["pearson"]),
+            ("spearman", rank_core.ESTIMATORS["spearman"]),
+            ("z_kendall_b", z_kendall_b),
+            ('z_kemeny(scale="sample")', lambda x, y: z_kemeny(x, y, scale="sample")),
+        ):
+            for x, y, name in (([1.0] * 4, [1, 2, 3, 4], "x"), ([1, 2, 3, 4], [5.0] * 4, "y")):
+                with pytest.raises(DegenerateError) as info:
+                    f(ScoreVector(x), ScoreVector(y))
+                assert str(info.value) == f"{label} undefined: {name} is constant"
+
+
+class TestPearsonMagnitudes:
+    """Pearson's r (and the midrank route through the same routine) scales a
+    column outside [2^-400, 2^400] by an exact power of two, and only then."""
+
+    pearson = staticmethod(rank_core.ESTIMATORS["pearson"])
+
+    @pytest.mark.parametrize(
+        "x, y, r",
+        [
+            ([1e200, -1e200, 0.0, 1.0], [1, 2, 3, 4], -1 / math.sqrt(10)),
+            ([1e-300, 2e-300, 3e-300], [1, 2, 3], 1.0),
+            ([1e-170, 3e-170, 2e-170], [1, 2, 3], 0.5),
+            ([1e-170, 3e-170, 2e-170], [1e-170, 2e-170, 3e-170], 0.5),
+            ([5e-324, 1e308, -1e308], [3, 1, 2], -0.5),
+        ],
+    )
+    def test_extreme_magnitudes(self, x, y, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.pearson(ScoreVector(x), ScoreVector(y)) == pytest.approx(r, abs=1e-15)
+
+    def test_in_band_columns_keep_their_bits(self):
+        rng = np.random.default_rng(400)
+        for _ in range(200):
+            n = int(rng.integers(3, 60))
+            x = rng.standard_normal(n) * 2.0 ** rng.integers(-390, 390)
+            y = rng.integers(0, 4, n).astype(float)
+            if (x == x[0]).all() or (y == y[0]).all():
+                continue
+            r = float(np.corrcoef(x, y)[0, 1])
+            assert self.pearson(ScoreVector(x), ScoreVector(y)).hex() == r.hex()
 
 
 class TestTieBlocks:

@@ -112,6 +112,12 @@ class TestMidranks:
         assert np.array_equal(_midranks(v), [4.0, 2.5, 1.0, 2.5])
 
 
+def test_equal_statistics_have_no_shape():
+    # the mean of three 0.1s is not 0.1, so their float m2 is not 0
+    row = sim._summary(np.full(3, 0.1))
+    assert (row["range"], row["skew"], row["excess_kurtosis"]) == (0.0, 0.0, 0.0)
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self):
         cfg = sim.default_config("table1", seed=99, replications=25, n_values=(6,))
