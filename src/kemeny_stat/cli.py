@@ -312,12 +312,13 @@ def _simulate_arguments(p) -> None:
 
     p.add_argument("--seed", type=int, metavar="INT",
                    help="RNG seed (required by simulate)")
-    p.add_argument("--reps", type=int, metavar="INT",
+    # each override's dest is the SimulationConfig field it sets
+    p.add_argument("--reps", dest="replications", type=int, metavar="INT",
                    help="replication count override")
     p.add_argument("--workers", type=int, metavar="INT",
                    help="worker process count")
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
-    p.add_argument("--n", type=int, nargs="+", metavar="INT",
+    p.add_argument("--n", dest="n_values", type=int, nargs="+", metavar="INT",
                    help="vector lengths override")
     p.add_argument("--population", choices=list(_POPULATIONS))
     p.add_argument("--rho", type=float, metavar="R",
@@ -328,32 +329,18 @@ def _simulate_arguments(p) -> None:
                    help="CSV to resample rows from")
 
 
-#: (argparse dest, SimulationConfig field) of each simulate flag that
-#: overrides the experiment's default config when given
-_SIMULATE_OVERRIDES = (
-    ("reps", "replications"),
-    ("n", "n_values"),
-    ("population", "population"),
-    ("rho", "rho"),
-    ("levels", "levels"),
-    ("resample_file", "resample_file"),
-    ("workers", "workers"),
-)
-
-
 def _cmd_simulate(args) -> None:
-    from .simulate import default_config, render_text, run_simulation
+    from dataclasses import fields
+
+    from .simulate import SimulationConfig, default_config, render_text, run_simulation
 
     if args.seed is None:
         raise UsageError("kemeny-stat simulate: error: --seed is required "
                          "(no wall-clock default)")
-    overrides = {
-        field: getattr(args, dest)
-        for dest, field in _SIMULATE_OVERRIDES
-        if getattr(args, dest) is not None
-    }
+    names = {f.name for f in fields(SimulationConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        config = default_config(args.experiment, seed=args.seed, **overrides)
+        config = default_config(**given)
     except (DataError, NumericError):
         raise
     except ValueError as exc:

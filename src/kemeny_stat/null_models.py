@@ -31,7 +31,9 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .rank_core import ScoreVector, _require_spread, as_score_vector, pair_stats, spearman_rho
+from .rank_core import (
+    ScoreVector, _pair, _require_spread, kemeny_variance, pair_stats, spearman_rho,
+)
 from .reference import SPEARMAN_STD_KURTOSIS_BY_N
 
 __all__ = [
@@ -374,12 +376,13 @@ def z_kemeny(
     ``scale`` picks the reported statistic: "population" divides S by the
     exact population standard deviation (unit variance under the null);
     "sample" divides by sqrt(ux uy) / m with ux, uy the per-column untied
-    pair counts, which is m times the tie-adjusted tau.  The p-value is
-    driven by S itself against the lattice null (mid-p) where "auto" takes
-    it (n from 3 to EXACT_LIMIT), else by the population-calibrated z
-    against a normal, so the choice of displayed scale never changes the p-value.
+    pair counts (:func:`kemeny_variance`), which is m times the tie-adjusted
+    tau.  The p-value is driven by S itself against the lattice null (mid-p)
+    where "auto" takes it (n from 3 to EXACT_LIMIT), else by the
+    population-calibrated z against a normal, so the choice of displayed
+    scale never changes the p-value.
     """
-    x, y = as_score_vector(x), as_score_vector(y)
+    x, y = _pair(x, y)
     counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
@@ -388,7 +391,7 @@ def z_kemeny(
         statistic = z
     elif scale == "sample":
         _require_spread('z_kemeny(scale="sample")', x, y)
-        statistic = s * counts.pair_count / math.sqrt(counts.untied_x * counts.untied_y)
+        statistic = s * counts.pair_count / math.sqrt(kemeny_variance(x) * kemeny_variance(y))
     else:
         raise ValueError(f"unknown scale {scale!r}")
     return _test("kemeny", statistic, n, s, z, null, {"n": n, "net_concordance": s, "scale": scale})
@@ -399,7 +402,7 @@ def _kendall_b_variance(
 ) -> float:
     """Tie-adjusted null variance of C - D, from the kept tie totals and tie
     sums of x and y (sum t(t-1) is twice the tied-pair total)."""
-    x, y = as_score_vector(x), as_score_vector(y)
+    x, y = _pair(x, y)
     tx2, (tx3, vt) = 2 * x._tie_total, x._tie_sums
     ty2, (ty3, vu) = 2 * y._tie_total, y._tie_sums
     n = x.n
@@ -422,9 +425,9 @@ def z_kendall_b(
     normal is its only null: "auto" and "normal" take it, "exact" raises
     DomainError.
     """
-    x, y = as_score_vector(x), as_score_vector(y)
-    counts = pair_stats(x, y)
+    x, y = _pair(x, y)
     _require_spread("z_kendall_b", x, y)
+    counts = pair_stats(x, y)
     n = counts.n
     s = counts.net_concordance
     variance = _kendall_b_variance(x, y)
@@ -448,7 +451,8 @@ def z_spearman(
     calibrated form: kernel null where the exact kurtosis is tabulated,
     normal otherwise.
     """
-    x, y = as_score_vector(x), as_score_vector(y)
+    x, y = _pair(x, y)
+    _require_spread("z_spearman", x, y)
     rho = spearman_rho(x, y)
     n = x.n
     root = math.sqrt(n - 1.0)

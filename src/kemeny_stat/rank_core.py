@@ -34,6 +34,11 @@ strict inversions of the y codes, one stable argsort per bit.  An O(n^2)
 sign-matrix reference must agree with it exactly, and the two are
 differentially tested.
 
+A pair of columns enters every two-column function through one routine,
+:func:`_pair`: it coerces both inputs to ScoreVectors and refuses unequal
+lengths with a DataError, so each estimator, test and distance takes
+array-likes or ScoreVectors alike.
+
 A constant column is one tie block, every pair of it tied.  One rule,
 :func:`_require_spread`, reads that exactly from the kept tie blocks and
 refuses each estimator and test undefined there (tau_kappa and the distances
@@ -166,6 +171,14 @@ def _constant(v: ScoreVector) -> bool:
     return v.ranks[1].size == 1
 
 
+def _pair(x, y) -> tuple[ScoreVector, ScoreVector]:
+    """The one entry for a pair of columns: both as ScoreVectors, equal in length."""
+    vx, vy = as_score_vector(x), as_score_vector(y)
+    if vx.n != vy.n:
+        raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
+    return vx, vy
+
+
 def _require_spread(function: str, x: ScoreVector, y: ScoreVector) -> None:
     """The one refusal of a constant column, for what is undefined there."""
     for name, v in (("x", x), ("y", y)):
@@ -202,16 +215,6 @@ class ConcordanceCounts:
     def net_concordance(self) -> int:
         """C - D, the integer sufficient statistic for every estimator here."""
         return self.concordant - self.discordant
-
-    @property
-    def untied_x(self) -> int:
-        """Pairs untied in x: C + D + the pairs tied in y only."""
-        return self.concordant + self.discordant + self.tied_y
-
-    @property
-    def untied_y(self) -> int:
-        """Pairs untied in y: C + D + the pairs tied in x only."""
-        return self.concordant + self.discordant + self.tied_x
 
 
 # ----------------------------------------------------------------------------
@@ -353,10 +356,7 @@ def pair_stats(
     the O(n^2) reference kept for differential testing; it neither reads nor
     stores the kept counts.  Both are exact.
     """
-    vx = as_score_vector(x)
-    vy = as_score_vector(y)
-    if vx.n != vy.n:
-        raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
+    vx, vy = _pair(x, y)
     if method == "quadratic":
         return _pair_stats_quadratic(vx.values, vy.values)
     if method != "merge":
@@ -458,9 +458,7 @@ def spearman_rho(
     classical average-rank Spearman coefficient, ties included.  Constant
     inputs have no direction and raise.
     """
-    vx, vy = as_score_vector(x), as_score_vector(y)
-    if vx.n != vy.n:
-        raise DataError(f"length mismatch: x has {vx.n} observations, y has {vy.n}")
+    vx, vy = _pair(x, y)
     _require_spread("spearman_rho", vx, vy)
     sxy = _exact_dot(rank_vector(vx), rank_vector(vy))
     sxx, syy = vx._image[1], vy._image[1]
@@ -478,7 +476,9 @@ def arcsine_r(
 
     Under independence its spread shrinks by a factor ~ 2/pi relative to rho_s.
     """
-    rho = min(1.0, max(-1.0, spearman_rho(x, y)))
+    vx, vy = _pair(x, y)
+    _require_spread("arcsine_r", vx, vy)
+    rho = min(1.0, max(-1.0, spearman_rho(vx, vy)))
     return 2.0 / math.pi * math.asin(rho)
 
 
@@ -490,10 +490,10 @@ def kendall_tau_b(
     The per-margin denominators are exactly the untied pair counts of x and y,
     so on tie-free data tau_b == tau_kappa.  Constant inputs raise.
     """
-    vx, vy = as_score_vector(x), as_score_vector(y)
-    c = pair_stats(vx, vy)
+    vx, vy = _pair(x, y)
     _require_spread("kendall_tau_b", vx, vy)
-    return c.net_concordance / math.sqrt(c.untied_x * c.untied_y)
+    c = pair_stats(vx, vy)
+    return c.net_concordance / math.sqrt(kemeny_variance(vx) * kemeny_variance(vy))
 
 
 def greiner_sin(t: float) -> float:
@@ -518,12 +518,13 @@ def _midranks(x) -> np.ndarray:
 
 def _classical_spearman(x, y) -> float:
     """Midrank-then-Pearson route (kept distinct from the pair-score route)."""
-    vx, vy = as_score_vector(x), as_score_vector(y)
+    vx, vy = _pair(x, y)
     _require_spread("spearman", vx, vy)
     return _corrcoef(_midranks(vx), _midranks(vy))
 
 
-def _pearson(x: ScoreVector, y: ScoreVector) -> float:
+def _pearson(x, y) -> float:
+    x, y = _pair(x, y)
     if not (np.isfinite(x.values) & np.isfinite(y.values)).all():
         raise DegenerateError("pearson undefined on +-inf; use a rank estimator like kemeny-tau")
     _require_spread("pearson", x, y)
@@ -540,8 +541,8 @@ def _corrcoef(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(scaled(x), scaled(y))[0, 1])
 
 
-#: The six-estimator family, in report order.  Each entry reads two
-#: ScoreVectors; the counting ones share the pair's one count.
+#: The six-estimator family, in report order.  Each entry takes two
+#: array-likes or ScoreVectors; the counting ones share the pair's one count.
 ESTIMATORS = {
     "pearson": _pearson,
     "spearman": _classical_spearman,

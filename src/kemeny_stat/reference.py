@@ -18,8 +18,6 @@ __all__ = [
     "TWO_SIDED_CUTOFF_N15",
     "TIED_Z_SUMMARIES",
     "SPEARMAN_Z_SUMMARIES",
-    "PEARSON_Z_SUMMARY_N100",
-    "SPEARMAN_TARGET_RHO",
     "CORRELATION_SPREADS",
 ]
 
@@ -142,7 +140,7 @@ TIED_Z_SUMMARIES: dict[str, dict[int, tuple[float, float]]] = {
 }
 
 # Simulation summaries for the variance-calibrated midrank-correlation z on
-# continuous bivariate normal data with population rho_S as below:
+# continuous bivariate normal data with population rho_S = -0.3706851:
 # n -> (mean, sd).
 SPEARMAN_Z_SUMMARIES: dict[int, tuple[float, float]] = {
     15: (-1.3597, 0.9473),
@@ -152,12 +150,6 @@ SPEARMAN_Z_SUMMARIES: dict[int, tuple[float, float]] = {
     1250: (-13.092, 0.929),
     2236: (-17.52, 0.93),
 }
-
-# Matching Pearson-t summary at n = 100 for the same population.
-PEARSON_Z_SUMMARY_N100: tuple[float, float] = (-3.6637, 1.3057)
-
-# Population midrank correlation generating SPEARMAN_Z_SUMMARIES.
-SPEARMAN_TARGET_RHO: float = -0.3706851
 
 # Sampling spread of the correlation estimators themselves around a zero
 # population value (15,000 replications): n -> estimator -> (mean, sd).

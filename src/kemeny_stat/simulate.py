@@ -254,13 +254,15 @@ def _replicate(
 
 
 def _summary(values: np.ndarray) -> dict:
-    mean = float(values.mean())
+    # equal floats need not average to themselves, nor have an m2 of 0
+    spread = values.max() > values.min()
+    mean = float(values.mean()) if spread else float(values[0])
     centered = values - values.mean()
     m2 = float(np.mean(centered**2))
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
-    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    shaped = m2 > 0 and values.max() > values.min()  # m2 of equal floats may not be 0
+    sd = float(values.std(ddof=1)) if spread else 0.0
+    shaped = spread and m2 > 0
     return {
         "mean": mean,
         "sd": sd,

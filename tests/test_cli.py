@@ -360,6 +360,18 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "numeric error: pearson undefined: x is constant\n"
 
+    @pytest.mark.parametrize(
+        "argv, function",
+        [(("correlate", "--method", "arcsine-r"), "arcsine_r"),
+         (("test", "--method", "spearman"), "z_spearman")],
+    )
+    def test_constant_column_names_the_function_called(self, capsys, tmp_path, argv, function):
+        path = tmp_path / "const.csv"
+        path.write_text("x,y\n" + "".join(f"0.1,{i}\n" for i in range(37)))
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: {function} undefined: x is constant\n"
+
     @pytest.mark.filterwarnings("error")
     def test_pearson_on_huge_scores_is_finite(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

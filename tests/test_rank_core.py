@@ -183,8 +183,8 @@ class TestPairStats:
             c = pair_stats(x, y)
             total = c.concordant + c.discordant + c.tied_x + c.tied_y + c.tied_both
             assert total == c.pair_count
-            assert c.untied_x == c.pair_count - c.tied_x - c.tied_both
-            assert c.untied_y == c.pair_count - c.tied_y - c.tied_both
+            assert kemeny_variance(x) == c.pair_count - c.tied_x - c.tied_both
+            assert kemeny_variance(y) == c.pair_count - c.tied_y - c.tied_both
 
     def test_merge_equals_quadratic(self):
         """Differential test: the two classification paths agree exactly."""
@@ -515,13 +515,61 @@ class TestConstantColumn:
             ("spearman_rho", spearman_rho),
             ("pearson", rank_core.ESTIMATORS["pearson"]),
             ("spearman", rank_core.ESTIMATORS["spearman"]),
+            ("arcsine_r", arcsine_r),
             ("z_kendall_b", z_kendall_b),
+            ("z_spearman", z_spearman),
             ('z_kemeny(scale="sample")', lambda x, y: z_kemeny(x, y, scale="sample")),
         ):
             for x, y, name in (([1.0] * 4, [1, 2, 3, 4], "x"), ([1, 2, 3, 4], [5.0] * 4, "y")):
                 with pytest.raises(DegenerateError) as info:
                     f(ScoreVector(x), ScoreVector(y))
                 assert str(info.value) == f"{label} undefined: {name} is constant"
+
+
+class TestPairEntry:
+    """Every two-column function takes its pair through one entry: array-likes
+    or ScoreVectors, refused with one DataError when their lengths differ."""
+
+    def test_fuzzed_unequal_lengths(self):
+        from kemeny_stat.multivar import CORRELATION_METHODS
+
+        pair_functions = {
+            **{f"ESTIMATORS[{key!r}]": f for key, f in rank_core.ESTIMATORS.items()},
+            **{f"CORRELATION_METHODS[{key!r}]": f for key, f in CORRELATION_METHODS.items()},
+            "pair_stats merge": pair_stats,
+            "pair_stats quadratic": lambda x, y: pair_stats(x, y, method="quadratic"),
+            "kemeny_distance_affine": kemeny_distance_affine,
+            "kemeny_distance_exact": kemeny_distance_exact,
+            "z_kemeny": z_kemeny,
+            "z_kendall_b": z_kendall_b,
+            "z_spearman": z_spearman,
+        }
+        rng = np.random.default_rng(29)
+        for case in range(80):
+            nx, ny = rng.choice(np.arange(2, 301), size=2, replace=False).tolist()
+            levels = int(rng.integers(1, 7))  # 1 stands for continuous
+            x, y = (
+                rng.standard_normal(k) if levels == 1 else rng.integers(0, levels, k).astype(float)
+                for k in (nx, ny)
+            )
+            # plain lists, arrays and ScoreVectors all enter the same way
+            x, y = [(list, np.asarray, ScoreVector)[case % 3](v) for v in (x, y)]
+            message = f"length mismatch: x has {nx} observations, y has {ny}"
+            for name, f in pair_functions.items():
+                with pytest.raises(DataError) as info:
+                    f(x, y)
+                assert str(info.value) == message, name
+
+    def test_estimators_take_plain_lists(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            x, y = fuzz_pair(rng, with_inf=False)
+            if kemeny_variance(x) == 0 or kemeny_variance(y) == 0:
+                continue
+            vx, vy = ScoreVector(x), ScoreVector(y)
+            for key, f in rank_core.ESTIMATORS.items():
+                got = f(np.asarray(x).tolist(), np.asarray(y).tolist())
+                assert got.hex() == f(vx, vy).hex(), key
 
 
 class TestPearsonMagnitudes:

@@ -118,6 +118,14 @@ def test_equal_statistics_have_no_shape():
     assert (row["range"], row["skew"], row["excess_kurtosis"]) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [0.1, 1 / 3, -7.7, 0.0])
+@pytest.mark.parametrize("size", [1, 3, 11])
+def test_equal_statistics_report_their_value(value, size):
+    # the float mean of equal values may miss them, and their float sd not be 0
+    row = sim._summary(np.full(size, value))
+    assert (row["mean"], row["sd"], row["median"]) == (value, 0.0, value)
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self):
         cfg = sim.default_config("table1", seed=99, replications=25, n_values=(6,))
